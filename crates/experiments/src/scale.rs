@@ -86,6 +86,7 @@ impl ScaleParams {
 }
 
 /// The keep-alive workload protocol (see module docs for the topology).
+#[derive(Default)]
 pub struct ScaleProto {
     acks: u32,
 }
