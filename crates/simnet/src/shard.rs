@@ -6,6 +6,14 @@
 //! traffic inside a subtree, so range sharding makes cross-shard messages
 //! sparse.
 //!
+//! Each shard *is* a [`Simulation`] with an owned address range: the same
+//! scheduler, arena, dispatch and action application as a standalone run.
+//! The one difference is where a send goes: a send to another shard's range
+//! is buffered per destination shard instead of scheduled. Out-of-range
+//! addresses belong to the last shard, which records messages to them as
+//! `messages_to_dead`. This module adds only what spans shards: address
+//! assignment, RNG seeding, and the barrier loop that moves the buffers.
+//!
 //! # Conservative time-barrier protocol
 //!
 //! The engine is a conservative parallel discrete-event simulator whose
@@ -18,13 +26,11 @@
 //!    earliest pending event into a shared slot and waits. The leader
 //!    (shard 0) takes the global minimum `T` and announces the window
 //!    `[T, T + L)` — or the done flag when all queues are empty.
-//! 2. **Process.** Each shard dispatches its local events with time
-//!    `< T + L` in exact `(time, seq)` order. Sends to a local destination
-//!    are scheduled directly; sends to a remote shard are appended to a
-//!    per-destination output buffer with their arrival time already drawn
-//!    (sender-side RNG, so replay is deterministic). After the window each
-//!    shard flushes its buffers into the mailbox matrix `mailbox[dst][src]`
-//!    and waits.
+//! 2. **Process.** Each shard runs its local events with time `< T + L`,
+//!    exactly as [`Simulation::run_until`] does. Remote sends carry their
+//!    arrival time already drawn (sender-side RNG, so replay is
+//!    deterministic). After the window each shard flushes its buffers into
+//!    the mailbox matrix `mailbox[dst][src]` and waits.
 //! 3. **Drain.** Each shard ingests `mailbox[self][src]` in ascending `src`
 //!    order, scheduling one `Deliver` per message. Arrival times are
 //!    provably `≥ T + L`, i.e. at-or-after the window edge every shard has
@@ -36,22 +42,19 @@
 //! runs with the same parameters produce identical [`event_digest`]s — the
 //! property asserted by `reproduce --scale`.
 //!
-//! A sharded run is *not* event-for-event identical to the single-threaded
-//! [`Simulation`](crate::sim::Simulation) with the same seed (RNG draws
-//! interleave differently across shard streams), with one exception: a
-//! **single-shard** `ShardedSimulation` replays the single-threaded engine
-//! exactly, which the tests use to pin the dispatch semantics together.
+//! A sharded run is *not* event-for-event identical to a standalone
+//! [`Simulation`] with the same seed (RNG draws interleave differently
+//! across shard streams), with one exception: a **single-shard**
+//! `ShardedSimulation` replays the standalone engine exactly, because its
+//! one shard is seeded with `seed` itself.
 //!
+//! [`LatencyModel::min`]: crate::link::LatencyModel::min
 //! [`event_digest`]: ShardedSimulation::event_digest
 
-use crate::arena::{Arena, Handle};
-use crate::event::EventKind;
 use crate::metrics::SimMetrics;
-use crate::protocol::{Action, Context, NodeAddr, Protocol, SendTrace, TimerToken};
-use crate::rng::SimRng;
-use crate::scheduler::Scheduler;
-use crate::sim::SimConfig;
-use crate::telemetry::{FlightEntry, Telemetry, TelemetryConfig, TraceCtx};
+use crate::protocol::{NodeAddr, Protocol};
+use crate::sim::{fnv_fold, Outgoing, SimConfig, Simulation, FNV_OFFSET};
+use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -60,383 +63,14 @@ use std::sync::{Barrier, Mutex};
 /// source shard.
 type MailboxRow<M> = Vec<Mutex<Vec<Outgoing<M>>>>;
 
-/// A cross-shard message with its delivery time already drawn by the sender.
-struct Outgoing<M> {
-    arrival: SimTime,
-    src: NodeAddr,
-    dest: NodeAddr,
-    msg: M,
-    /// Trace continuation for the receiver's callback (the sender already
-    /// recorded the hop span). Envelope metadata, never serialised.
-    trace: Option<TraceCtx>,
-}
-
-/// Per-node bookkeeping (mirrors the single-threaded engine).
-struct NodeSlot<P> {
-    proto: P,
-    alive: bool,
-    started: bool,
-}
-
-/// One shard: a slice of the address space with its own scheduler, node
-/// arena, RNG stream, metrics and digest.
-struct Shard<P: Protocol> {
-    index: usize,
-    /// First address owned by this shard.
-    base: u64,
-    /// Addresses per shard (same for every shard).
-    block: u64,
-    config: SimConfig,
-    scheduler: Scheduler<P::Message>,
-    nodes: Arena<NodeSlot<P>>,
-    /// Local offset (`addr - base`) → handle. Dense, append-only.
-    handles: Vec<Handle>,
-    rng: SimRng,
-    metrics: SimMetrics,
-    digest: Option<u64>,
-    action_buf: Vec<Action<P::Message>>,
-    /// Cross-shard sends accumulated during a window, per destination shard.
-    out_bufs: Vec<Vec<Outgoing<P::Message>>>,
-    /// Per-shard telemetry sink; span/trace ids carry the shard index in
-    /// their high bits so the merged view stays collision-free.
-    telemetry: Option<Box<Telemetry>>,
-}
-
-impl<P: Protocol> Shard<P> {
-    #[inline]
-    fn slot(&self, addr: NodeAddr) -> Option<&NodeSlot<P>> {
-        let local = addr.0.checked_sub(self.base)? as usize;
-        let handle = *self.handles.get(local)?;
-        self.nodes.get(handle)
-    }
-
-    /// Dispatch local events strictly before `w_end_us`.
-    fn run_window(&mut self, w_end_us: u64) {
-        while let Some(t) = self.scheduler.peek_time() {
-            if t.as_micros() >= w_end_us {
-                break;
-            }
-            let event = self.scheduler.pop().expect("peeked event vanished");
-            self.metrics.events_dispatched += 1;
-            assert!(
-                self.metrics.events_dispatched <= self.config.max_events,
-                "shard {} exceeded max_events = {}",
-                self.index,
-                self.config.max_events
-            );
-            if let Some(d) = self.digest.as_mut() {
-                *d = crate::sim::fold_event(*d, event.at, event.seq, &event.kind);
-            }
-            let now = event.at;
-            let seq = event.seq;
-            // Telemetry pre-dispatch, mirroring the single-threaded engine.
-            let mut timed_tag = None;
-            if self.telemetry.is_some() {
-                let (tag, node) = crate::sim::event_word(&event.kind);
-                let metrics = self.metrics;
-                let t = self.telemetry.as_deref_mut().expect("checked above");
-                t.recorder.record(FlightEntry {
-                    at: now,
-                    seq,
-                    tag,
-                    node,
-                });
-                t.maybe_sample(now, &metrics);
-                if t.should_time() {
-                    timed_tag = Some(tag);
-                }
-            }
-            match timed_tag {
-                Some(tag) => {
-                    let started = std::time::Instant::now();
-                    self.dispatch_event(event.kind, now, seq);
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.record_dispatch(tag, nanos);
-                    }
-                }
-                None => self.dispatch_event(event.kind, now, seq),
-            }
-        }
-    }
-
-    fn dispatch_event(&mut self, kind: EventKind<P::Message>, now: SimTime, seq: u64) {
-        match kind {
-            EventKind::Start { node } => self.dispatch_start(node, now),
-            EventKind::Fail { node } => self.dispatch_fail(node),
-            EventKind::Stop { node } => self.dispatch_stop(node, now),
-            EventKind::Timer { node, token } => self.dispatch_timer(node, token, now),
-            EventKind::Deliver { src, dest, msg } => {
-                let trace = self
-                    .telemetry
-                    .as_deref_mut()
-                    .and_then(|t| t.take_inflight(seq));
-                self.dispatch_deliver(src, dest, msg, now, trace)
-            }
-        }
-    }
-
-    fn dispatch_start(&mut self, node: NodeAddr, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = node
-            .0
-            .checked_sub(self.base)
-            .and_then(|local| self.handles.get(local as usize).copied())
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive || slot.started {
-            self.action_buf = buf;
-            return;
-        }
-        slot.started = true;
-        self.metrics.nodes_started += 1;
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_start(&mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.apply_actions(node, actions, traces, now);
-    }
-
-    fn dispatch_fail(&mut self, node: NodeAddr) {
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = node
-            .0
-            .checked_sub(self.base)
-            .and_then(|local| self.handles.get(local as usize).copied())
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            return;
-        };
-        if !slot.alive {
-            return;
-        }
-        slot.alive = false;
-        self.metrics.nodes_failed += 1;
-    }
-
-    fn dispatch_stop(&mut self, node: NodeAddr, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = node
-            .0
-            .checked_sub(self.base)
-            .and_then(|local| self.handles.get(local as usize).copied())
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive {
-            self.action_buf = buf;
-            return;
-        }
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_stop(&mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        slot.alive = false;
-        self.metrics.nodes_stopped += 1;
-        self.apply_actions(node, actions, traces, now);
-    }
-
-    fn dispatch_timer(&mut self, node: NodeAddr, token: TimerToken, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = node
-            .0
-            .checked_sub(self.base)
-            .and_then(|local| self.handles.get(local as usize).copied())
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.metrics.timers_dropped += 1;
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive {
-            self.metrics.timers_dropped += 1;
-            self.action_buf = buf;
-            return;
-        }
-        self.metrics.timers_fired += 1;
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_timer(token, &mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.apply_actions(node, actions, traces, now);
-    }
-
-    fn dispatch_deliver(
-        &mut self,
-        src: NodeAddr,
-        dest: NodeAddr,
-        msg: P::Message,
-        now: SimTime,
-        trace: Option<TraceCtx>,
-    ) {
-        let buf = std::mem::take(&mut self.action_buf);
-        let Some(slot) = dest
-            .0
-            .checked_sub(self.base)
-            .and_then(|local| self.handles.get(local as usize).copied())
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.metrics.messages_to_dead += 1;
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive || !slot.started {
-            self.metrics.messages_to_dead += 1;
-            self.action_buf = buf;
-            return;
-        }
-        self.metrics.messages_delivered += 1;
-        let mut ctx = Context::for_host(
-            now,
-            dest,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            trace,
-        );
-        slot.proto.on_message(src, msg, &mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.apply_actions(dest, actions, traces, now);
-    }
-
-    /// Dispatch actions; remote sends go to the per-destination output
-    /// buffers for the end-of-window mailbox flush. Traced sends record
-    /// their hop span sender-side (the arrival time is already drawn), so
-    /// cross-shard hops never touch another shard's span log — only the
-    /// continuation context travels in the [`Outgoing`] envelope.
-    fn apply_actions(
-        &mut self,
-        origin: NodeAddr,
-        mut actions: Vec<Action<P::Message>>,
-        traces: Vec<SendTrace>,
-        now: SimTime,
-    ) {
-        let mut trace_iter = traces.iter();
-        let mut next_trace = trace_iter.next();
-        for (index, action) in actions.drain(..).enumerate() {
-            match action {
-                Action::Send { dest, msg } => {
-                    let sent_trace = match next_trace {
-                        Some(t) if t.action as usize == index => {
-                            let t = *t;
-                            next_trace = trace_iter.next();
-                            Some(t)
-                        }
-                        _ => None,
-                    };
-                    self.metrics.messages_sent += 1;
-                    match self.config.link.transmit(origin, dest, &mut self.rng) {
-                        Some(latency) => {
-                            let arrival = now + latency;
-                            let cont = match (sent_trace, self.telemetry.as_deref_mut()) {
-                                (Some(st), Some(t)) => {
-                                    let hop = t.record_hop(
-                                        st.label,
-                                        st.ctx,
-                                        origin,
-                                        dest,
-                                        now,
-                                        Some(arrival),
-                                    );
-                                    Some(TraceCtx {
-                                        trace_id: st.ctx.trace_id,
-                                        parent_span: hop,
-                                    })
-                                }
-                                _ => None,
-                            };
-                            // Out-of-range destinations clamp to the last
-                            // shard, which records them as messages_to_dead.
-                            let dst_shard =
-                                ((dest.0 / self.block) as usize).min(self.out_bufs.len() - 1);
-                            if dst_shard == self.index {
-                                let seq = self.scheduler.schedule(
-                                    arrival,
-                                    EventKind::Deliver {
-                                        src: origin,
-                                        dest,
-                                        msg,
-                                    },
-                                );
-                                if let (Some(c), Some(t)) = (cont, self.telemetry.as_deref_mut()) {
-                                    t.put_inflight(seq, c);
-                                }
-                            } else {
-                                self.out_bufs[dst_shard].push(Outgoing {
-                                    arrival,
-                                    src: origin,
-                                    dest,
-                                    msg,
-                                    trace: cont,
-                                });
-                            }
-                        }
-                        None => {
-                            self.metrics.messages_lost += 1;
-                            if let (Some(st), Some(t)) = (sent_trace, self.telemetry.as_deref_mut())
-                            {
-                                t.record_hop(st.label, st.ctx, origin, dest, now, None);
-                            }
-                        }
-                    }
-                }
-                Action::SetTimer { delay, token } => {
-                    self.scheduler.schedule(
-                        now + delay,
-                        EventKind::Timer {
-                            node: origin,
-                            token,
-                        },
-                    );
-                }
-                Action::Shutdown => {
-                    self.scheduler
-                        .schedule(now, EventKind::Stop { node: origin });
-                }
-            }
-        }
-        self.action_buf = actions;
-    }
-}
-
 /// A simulation partitioned across OS threads by node address range.
 ///
 /// See the [module docs](self) for the barrier protocol and determinism
 /// argument. The population must be added before the first `run_*` call;
-/// node addition mid-run is not supported (the single-threaded
-/// [`Simulation`](crate::sim::Simulation) covers that use case).
+/// node addition mid-run is not supported (a standalone [`Simulation`]
+/// covers that use case).
 pub struct ShardedSimulation<P: Protocol> {
-    shards: Vec<Shard<P>>,
+    shards: Vec<Simulation<P>>,
     /// Addresses per shard.
     block: u64,
     /// Conservative lookahead (minimum link latency), in microseconds.
@@ -466,23 +100,11 @@ impl<P: Protocol> ShardedSimulation<P> {
             "sharded simulation requires a positive minimum link latency (lookahead)"
         );
         let block = (capacity as u64).div_ceil(shards as u64);
-        let shards: Vec<Shard<P>> = (0..shards)
-            .map(|index| Shard {
-                index,
-                base: index as u64 * block,
-                block,
-                config,
-                scheduler: Scheduler::new(),
-                nodes: Arena::with_capacity(block as usize),
-                handles: Vec::with_capacity(block as usize),
-                rng: SimRng::seed_from(
-                    seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                ),
-                metrics: SimMetrics::default(),
-                digest: None,
-                action_buf: Vec::new(),
-                out_bufs: (0..shards).map(|_| Vec::new()).collect(),
-                telemetry: None,
+        let count = shards;
+        let shards = (0..count)
+            .map(|index| {
+                let stream = seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                Simulation::shard(config, stream, index, block, count)
             })
             .collect();
         ShardedSimulation {
@@ -499,6 +121,11 @@ impl<P: Protocol> ShardedSimulation<P> {
         self.shards.len()
     }
 
+    /// The shard owning `addr`, if it is in range.
+    fn shard_of(&self, addr: NodeAddr) -> Option<&Simulation<P>> {
+        self.shards.get((addr.0 / self.block) as usize)
+    }
+
     /// Add a node (start scheduled at time zero). Panics past `capacity`.
     pub fn add_node(&mut self, proto: P) -> NodeAddr {
         self.add_node_at(proto, SimTime::ZERO)
@@ -511,30 +138,22 @@ impl<P: Protocol> ShardedSimulation<P> {
             "sharded simulation is at capacity ({})",
             self.capacity
         );
-        let addr = NodeAddr(self.next_addr);
+        let shard = (self.next_addr / self.block) as usize;
+        let addr = self.shards[shard].add_node_at(proto, at);
+        debug_assert_eq!(addr.0, self.next_addr);
         self.next_addr += 1;
-        let shard = &mut self.shards[(addr.0 / self.block) as usize];
-        let handle = shard.nodes.insert(NodeSlot {
-            proto,
-            alive: true,
-            started: false,
-        });
-        debug_assert_eq!(shard.handles.len() as u64, addr.0 - shard.base);
-        shard.handles.push(handle);
-        shard
-            .scheduler
-            .schedule(at, EventKind::Start { node: addr });
         addr
     }
 
     /// Turn telemetry on: one [`Telemetry`] sink per shard, with the shard
-    /// index tagged into the high bits of trace/span ids. Behaviourally
-    /// inert, like the single-threaded engine's.
+    /// index tagged into the high bits of trace/span ids so the merged view
+    /// stays collision-free. Behaviourally inert, like the single-threaded
+    /// engine's.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        for shard in &mut self.shards {
-            if shard.telemetry.is_none() {
-                shard.telemetry = Some(Box::new(Telemetry::with_tag(config, shard.index as u64)));
-            }
+        for (index, shard) in self.shards.iter_mut().enumerate() {
+            shard
+                .telemetry
+                .get_or_insert_with(|| Box::new(Telemetry::with_tag(config, index as u64)));
         }
     }
 
@@ -543,7 +162,7 @@ impl<P: Protocol> ShardedSimulation<P> {
     pub fn telemetries(&self) -> Vec<&Telemetry> {
         self.shards
             .iter()
-            .filter_map(|s| s.telemetry.as_deref())
+            .filter_map(Simulation::telemetry)
             .collect()
     }
 
@@ -565,66 +184,42 @@ impl<P: Protocol> ShardedSimulation<P> {
 
     /// Start folding dispatched events into per-shard FNV-1a digests.
     pub fn enable_digest(&mut self) {
-        for shard in &mut self.shards {
-            shard.digest.get_or_insert(crate::sim::FNV_OFFSET);
-        }
+        self.shards.iter_mut().for_each(Simulation::enable_digest);
     }
 
     /// Combined event digest: per-shard digests folded in shard order.
     /// `None` until [`ShardedSimulation::enable_digest`] is called.
     pub fn event_digest(&self) -> Option<u64> {
-        let mut combined = crate::sim::FNV_OFFSET;
+        let mut combined = FNV_OFFSET;
         for shard in &self.shards {
-            combined = crate::sim::fnv_fold(combined, shard.digest?);
+            combined = fnv_fold(combined, shard.event_digest()?);
         }
         Some(combined)
     }
 
     /// Aggregate metrics summed over all shards.
     pub fn metrics(&self) -> SimMetrics {
-        let mut total = SimMetrics::default();
-        for shard in &self.shards {
-            let m = &shard.metrics;
-            total.messages_sent += m.messages_sent;
-            total.messages_delivered += m.messages_delivered;
-            total.messages_lost += m.messages_lost;
-            total.messages_to_dead += m.messages_to_dead;
-            total.timers_fired += m.timers_fired;
-            total.timers_dropped += m.timers_dropped;
-            total.nodes_started += m.nodes_started;
-            total.nodes_failed += m.nodes_failed;
-            total.nodes_stopped += m.nodes_stopped;
-            total.events_dispatched += m.events_dispatched;
-        }
-        total
+        self.shards.iter().map(Simulation::metrics).sum()
     }
 
     /// Immutable access to a node's protocol state.
     pub fn node(&self, addr: NodeAddr) -> Option<&P> {
-        let shard = self.shards.get((addr.0 / self.block) as usize)?;
-        shard.slot(addr).map(|s| &s.proto)
+        self.shard_of(addr)?.node(addr)
     }
 
     /// Is the node currently alive?
     pub fn is_alive(&self, addr: NodeAddr) -> bool {
-        self.shards
-            .get((addr.0 / self.block) as usize)
-            .and_then(|s| s.slot(addr))
-            .map(|s| s.alive)
-            .unwrap_or(false)
+        self.shard_of(addr).is_some_and(|s| s.is_alive(addr))
     }
 
     /// Number of alive nodes across all shards.
     pub fn alive_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.nodes.iter().filter(|(_, s)| s.alive).count())
-            .sum()
+        self.shards.iter().map(Simulation::alive_count).sum()
     }
 
     /// Total events still queued across all shards.
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.scheduler.len()).sum()
+        self.shards.iter().map(Simulation::pending_events).sum()
     }
 }
 
@@ -668,13 +263,13 @@ where
                     // Wrap each barrier wait with a wall-clock stall gauge
                     // when telemetry is on (the wait time is where a
                     // load-imbalanced epoch shows up).
-                    let timed = shard.telemetry.is_some();
-                    let wait = |shard: &mut Shard<P>| {
+                    let timed = shard.telemetry().is_some();
+                    let wait = |shard: &mut Simulation<P>| {
                         if timed {
                             let started = std::time::Instant::now();
                             barrier.wait();
                             let nanos = started.elapsed().as_nanos() as u64;
-                            if let Some(t) = shard.telemetry.as_deref_mut() {
+                            if let Some(t) = shard.telemetry_mut() {
                                 t.record_barrier_stall(nanos);
                             }
                         } else {
@@ -710,10 +305,11 @@ where
                     if done.load(Ordering::SeqCst) {
                         break;
                     }
-                    // Phase 2: process the window, then flush cross-shard
-                    // sends into the mailbox matrix.
+                    // Phase 2: process the window `[T, w_end)` — in whole
+                    // microseconds, every event up to `w_end - 1` — then
+                    // flush cross-shard sends into the mailbox matrix.
                     let w_end = window_end.load(Ordering::SeqCst);
-                    shard.run_window(w_end);
+                    shard.run_until(SimTime::from_micros(w_end - 1));
                     for (dst, buf) in shard.out_bufs.iter_mut().enumerate() {
                         if !buf.is_empty() {
                             mailboxes[dst][index].lock().expect("mailbox").append(buf);
@@ -727,21 +323,10 @@ where
                         let incoming = std::mem::take(&mut *slot.lock().expect("mailbox"));
                         for out in incoming {
                             debug_assert!(out.arrival.as_micros() >= w_end.min(limit_us - 1));
-                            let seq = shard.scheduler.schedule(
-                                out.arrival,
-                                EventKind::Deliver {
-                                    src: out.src,
-                                    dest: out.dest,
-                                    msg: out.msg,
-                                },
-                            );
-                            if let (Some(c), Some(t)) = (out.trace, shard.telemetry.as_deref_mut())
-                            {
-                                t.put_inflight(seq, c);
-                            }
+                            shard.schedule_deliver(out);
                         }
                     }
-                    if let Some(t) = shard.telemetry.as_deref_mut() {
+                    if let Some(t) = shard.telemetry_mut() {
                         t.record_barrier_epoch();
                     }
                 });
@@ -754,7 +339,7 @@ where
 mod tests {
     use super::*;
     use crate::link::{LatencyModel, LinkModel, LossModel};
-    use crate::sim::Simulation;
+    use crate::protocol::{Context, TimerToken};
     use crate::time::SimDuration;
 
     /// Chatty test protocol: every node pings its successor on start; each

@@ -19,6 +19,14 @@
 //! address order — deterministic by construction, with nothing to sort.
 //! An optional FNV-1a [`Simulation::event_digest`] folds every dispatched
 //! event so two runs can be compared for identical event order cheaply.
+//!
+//! # Owned address range
+//!
+//! A simulation owns the addresses `[base, base + block)`. Standing alone
+//! it owns them all, so every send is scheduled locally. As one shard of a
+//! [`ShardedSimulation`](crate::shard::ShardedSimulation) it owns one
+//! block, and a send to another block is buffered for that shard's mailbox
+//! instead. Ownership is one compare on the send path.
 
 use crate::arena::{Arena, Handle};
 use crate::event::EventKind;
@@ -29,7 +37,6 @@ use crate::rng::SimRng;
 use crate::scheduler::Scheduler;
 use crate::telemetry::{FlightEntry, Telemetry, TelemetryConfig, TraceCtx};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{MemoryTrace, TraceEvent, TraceSink};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +64,17 @@ struct NodeSlot<P> {
     started: bool,
 }
 
+/// A send with its delivery time already drawn by the sender.
+pub(crate) struct Outgoing<M> {
+    pub(crate) arrival: SimTime,
+    pub(crate) src: NodeAddr,
+    pub(crate) dest: NodeAddr,
+    pub(crate) msg: M,
+    /// Trace continuation for the receiver's callback (the sender already
+    /// recorded the hop span). Envelope metadata, never serialised.
+    pub(crate) trace: Option<TraceCtx>,
+}
+
 /// Seed for the 64-bit FNV-1a-style event digest.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -70,12 +88,11 @@ pub(crate) fn fnv_fold(digest: u64, word: u64) -> u64 {
     (digest ^ word).wrapping_mul(FNV_PRIME)
 }
 
-/// Fold one dispatched event into a digest: its time, FIFO sequence,
-/// target node and kind discriminant. Two runs with equal digests
-/// dispatched the same events in the same order.
+/// Fold one dispatched event into a digest: its time, FIFO sequence, and
+/// the kind tag and node word of [`event_word`]. Two runs with equal
+/// digests dispatched the same events in the same order.
 #[inline]
-pub(crate) fn fold_event<M>(digest: u64, at: SimTime, seq: u64, kind: &EventKind<M>) -> u64 {
-    let (tag, node) = event_word(kind);
+pub(crate) fn fold_word(digest: u64, at: SimTime, seq: u64, tag: u8, node: u64) -> u64 {
     let mut d = fnv_fold(digest, at.as_micros());
     d = fnv_fold(d, seq);
     d = fnv_fold(d, tag as u64);
@@ -99,22 +116,29 @@ pub(crate) fn event_word<M>(kind: &EventKind<M>) -> (u8, u64) {
 /// A discrete-event simulation hosting nodes of one protocol type.
 pub struct Simulation<P: Protocol> {
     config: SimConfig,
-    scheduler: Scheduler<P::Message>,
+    pub(crate) scheduler: Scheduler<P::Message>,
     /// Node state, in a slab arena addressed by dense index handles.
     nodes: Arena<NodeSlot<P>>,
-    /// `NodeAddr.0 → Handle`. Addresses are assigned densely by the sim,
-    /// so this is a plain `Vec` — no hashing on the dispatch path.
+    /// `NodeAddr.0 - base → Handle`. Addresses are assigned densely by the
+    /// sim, so this is a plain `Vec` — no hashing on the dispatch path.
     handles: Vec<Handle>,
     rng: SimRng,
     metrics: SimMetrics,
-    trace: Option<MemoryTrace>,
     /// Recycled action buffer threaded through every [`Context`].
     action_buf: Vec<Action<P::Message>>,
     /// FNV-1a fold over dispatched events; `None` until enabled.
     digest: Option<u64>,
     /// Telemetry sink (registry, spans, flight recorder); `None` until
     /// enabled, and behaviourally inert when on.
-    telemetry: Option<Box<Telemetry>>,
+    pub(crate) telemetry: Option<Box<Telemetry>>,
+    /// First owned address.
+    base: u64,
+    /// Number of owned addresses: all of them standing alone, the shard
+    /// width in a sharded run.
+    block: u64,
+    /// Sends to addresses outside the owned range, per destination shard,
+    /// awaiting the sharded engine's mailbox flush.
+    pub(crate) out_bufs: Vec<Vec<Outgoing<P::Message>>>,
 }
 
 impl<P: Protocol> Simulation<P> {
@@ -127,10 +151,30 @@ impl<P: Protocol> Simulation<P> {
             handles: Vec::new(),
             rng: SimRng::seed_from(seed),
             metrics: SimMetrics::default(),
-            trace: None,
             action_buf: Vec::new(),
             digest: None,
             telemetry: None,
+            base: 0,
+            block: u64::MAX,
+            out_bufs: vec![Vec::new()],
+        }
+    }
+
+    /// Shard `index` of `shards`, each owning `block` consecutive addresses.
+    pub(crate) fn shard(
+        config: SimConfig,
+        seed: u64,
+        index: usize,
+        block: u64,
+        shards: usize,
+    ) -> Self {
+        Simulation {
+            nodes: Arena::with_capacity(block as usize),
+            handles: Vec::with_capacity(block as usize),
+            base: index as u64 * block,
+            block,
+            out_bufs: (0..shards).map(|_| Vec::new()).collect(),
+            ..Simulation::new(config, seed)
         }
     }
 
@@ -138,16 +182,6 @@ impl<P: Protocol> Simulation<P> {
     /// populations).
     pub fn reserve_nodes(&mut self, additional: usize) {
         self.handles.reserve(additional);
-    }
-
-    /// Enable in-memory tracing (used by tests and debugging sessions).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(MemoryTrace::default());
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&MemoryTrace> {
-        self.trace.as_ref()
     }
 
     /// Start folding every dispatched event into an order-sensitive FNV-1a
@@ -206,7 +240,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Add a node and schedule its start at `at`.
     pub fn add_node_at(&mut self, proto: P, at: SimTime) -> NodeAddr {
-        let addr = NodeAddr(self.handles.len() as u64);
+        let addr = NodeAddr(self.base + self.handles.len() as u64);
         let handle = self.nodes.insert(NodeSlot {
             proto,
             alive: true,
@@ -219,13 +253,13 @@ impl<P: Protocol> Simulation<P> {
 
     #[inline]
     fn slot(&self, addr: NodeAddr) -> Option<&NodeSlot<P>> {
-        let handle = *self.handles.get(addr.0 as usize)?;
+        let handle = *self.handles.get(addr.0.wrapping_sub(self.base) as usize)?;
         self.nodes.get(handle)
     }
 
     #[inline]
     fn slot_mut(&mut self, addr: NodeAddr) -> Option<&mut NodeSlot<P>> {
-        let handle = *self.handles.get(addr.0 as usize)?;
+        let handle = *self.handles.get(addr.0.wrapping_sub(self.base) as usize)?;
         self.nodes.get_mut(handle)
     }
 
@@ -244,39 +278,35 @@ impl<P: Protocol> Simulation<P> {
 
     /// Is the node currently alive?
     pub fn is_alive(&self, addr: NodeAddr) -> bool {
-        self.slot(addr).map(|s| s.alive).unwrap_or(false)
+        self.slot(addr).is_some_and(|s| s.alive)
     }
 
     /// Addresses of all currently alive nodes, in address order (arena
     /// index order — no sort needed).
     pub fn alive_nodes(&self) -> Vec<NodeAddr> {
-        self.handles
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| self.nodes.get(h).map(|s| s.alive).unwrap_or(false))
-            .map(|(i, _)| NodeAddr(i as u64))
+        self.all_nodes()
+            .into_iter()
+            .filter(|&addr| self.is_alive(addr))
             .collect()
     }
 
     /// Addresses of every node ever added, in address order.
     pub fn all_nodes(&self) -> Vec<NodeAddr> {
-        (0..self.handles.len() as u64).map(NodeAddr).collect()
+        (self.base..self.base + self.handles.len() as u64)
+            .map(NodeAddr)
+            .collect()
     }
 
     /// Number of alive nodes.
     pub fn alive_count(&self) -> usize {
-        self.handles
-            .iter()
-            .filter(|&&h| self.nodes.get(h).map(|s| s.alive).unwrap_or(false))
-            .count()
+        self.nodes.iter().filter(|(_, s)| s.alive).count()
     }
 
     /// Crash-fail `addr` immediately: the node stops receiving messages and
     /// timers and its protocol gets no notification (Section IV failure
     /// model).
     pub fn fail_node(&mut self, addr: NodeAddr) {
-        let at = self.now();
-        self.scheduler.schedule(at, EventKind::Fail { node: addr });
+        self.fail_node_at(addr, self.now());
     }
 
     /// Schedule a crash failure of `addr` at time `at`.
@@ -301,24 +331,10 @@ impl<P: Protocol> Simulation<P> {
         addr: NodeAddr,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> Option<R> {
-        let handle = *self.handles.get(addr.0 as usize)?;
-        let slot = self.nodes.get_mut(handle)?;
-        if !slot.alive {
+        if !self.slot(addr)?.alive {
             return None;
         }
-        let buf = std::mem::take(&mut self.action_buf);
-        let mut ctx = Context::for_host(
-            self.scheduler.now(),
-            addr,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        let out = f(&mut slot.proto, &mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.apply_actions(addr, actions, traces);
-        Some(out)
+        Some(self.call(addr, self.now(), None, f))
     }
 
     /// Dispatch a single event. Returns `false` when the queue is empty.
@@ -332,41 +348,33 @@ impl<P: Protocol> Simulation<P> {
             "simulation exceeded max_events = {} (runaway protocol?)",
             self.config.max_events
         );
-        if let Some(d) = self.digest.as_mut() {
-            *d = fold_event(*d, event.at, event.seq, &event.kind);
-        }
         let now = event.at;
         let seq = event.seq;
+        // The digest's view of the event, shared with the flight recorder.
+        let (tag, node) = event_word(&event.kind);
+        if let Some(d) = self.digest.as_mut() {
+            *d = fold_word(*d, now, seq, tag, node);
+        }
         // Telemetry pre-dispatch: flight-record the event, sample the
         // scalar series on its virtual-time cadence, and decide whether
         // this is one of the 1-in-64 dispatches whose wall-clock cost gets
         // measured. All of it is off the hot path when telemetry is off.
-        let mut timed_tag = None;
-        if self.telemetry.is_some() {
-            let (tag, node) = event_word(&event.kind);
-            let metrics = self.metrics;
-            let t = self.telemetry.as_deref_mut().expect("checked above");
+        let mut timed = None;
+        if let Some(t) = self.telemetry.as_deref_mut() {
             t.recorder.record(FlightEntry {
                 at: now,
                 seq,
                 tag,
                 node,
             });
-            t.maybe_sample(now, &metrics);
+            t.maybe_sample(now, &self.metrics);
             if t.should_time() {
-                timed_tag = Some(tag);
+                timed = Some((tag, std::time::Instant::now()));
             }
         }
-        match timed_tag {
-            Some(tag) => {
-                let started = std::time::Instant::now();
-                self.dispatch_event(event.kind, now, seq);
-                let nanos = started.elapsed().as_nanos() as u64;
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_dispatch(tag, nanos);
-                }
-            }
-            None => self.dispatch_event(event.kind, now, seq),
+        self.dispatch_event(event.kind, now, seq);
+        if let (Some((tag, started)), Some(t)) = (timed, self.telemetry.as_deref_mut()) {
+            t.record_dispatch(tag, started.elapsed().as_nanos() as u64);
         }
         true
     }
@@ -374,7 +382,7 @@ impl<P: Protocol> Simulation<P> {
     fn dispatch_event(&mut self, kind: EventKind<P::Message>, now: SimTime, seq: u64) {
         match kind {
             EventKind::Start { node } => self.dispatch_start(node, now),
-            EventKind::Fail { node } => self.dispatch_fail(node, now),
+            EventKind::Fail { node } => self.dispatch_fail(node),
             EventKind::Stop { node } => self.dispatch_stop(node, now),
             EventKind::Timer { node, token } => self.dispatch_timer(node, token, now),
             EventKind::Deliver { src, dest, msg } => {
@@ -416,136 +424,44 @@ impl<P: Protocol> Simulation<P> {
 
     // ---- dispatch helpers -------------------------------------------------
 
-    fn record(&mut self, ev: TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(ev);
-        }
-    }
-
     fn dispatch_start(&mut self, node: NodeAddr, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.action_buf = buf;
+        let Some(slot) = self.slot_mut(node) else {
             return;
         };
         if !slot.alive || slot.started {
-            self.action_buf = buf;
             return;
         }
         slot.started = true;
         self.metrics.nodes_started += 1;
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_start(&mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.record(TraceEvent::NodeStarted { at: now, node });
-        self.apply_actions(node, actions, traces);
+        self.call(node, now, None, |proto, ctx| proto.on_start(ctx));
     }
 
-    fn dispatch_fail(&mut self, node: NodeAddr, now: SimTime) {
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            return;
-        };
-        if !slot.alive {
-            return;
+    fn dispatch_fail(&mut self, node: NodeAddr) {
+        if let Some(slot) = self.slot_mut(node).filter(|s| s.alive) {
+            slot.alive = false;
+            self.metrics.nodes_failed += 1;
         }
-        slot.alive = false;
-        self.metrics.nodes_failed += 1;
-        self.record(TraceEvent::NodeFailed { at: now, node });
     }
 
     fn dispatch_stop(&mut self, node: NodeAddr, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
-            self.action_buf = buf;
+        let Some(slot) = self.slot_mut(node).filter(|s| s.alive) else {
             return;
         };
-        if !slot.alive {
-            self.action_buf = buf;
-            return;
-        }
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_stop(&mut ctx);
-        let (actions, traces) = ctx.into_parts();
+        // A stopping node may still send goodbye messages, but any timers
+        // it sets are pointless: they are dropped on firing because the
+        // node is already dead.
         slot.alive = false;
         self.metrics.nodes_stopped += 1;
-        self.record(TraceEvent::NodeStopped { at: now, node });
-        // A stopping node may still send goodbye messages, but any timers it
-        // sets are pointless; apply_actions filters them because the node is
-        // already marked dead by the time the timer would fire.
-        self.apply_actions(node, actions, traces);
+        self.call(node, now, None, |proto, ctx| proto.on_stop(ctx));
     }
 
     fn dispatch_timer(&mut self, node: NodeAddr, token: TimerToken, now: SimTime) {
-        let buf = std::mem::take(&mut self.action_buf);
-        // Field-level lookup (not `slot_mut`) so `self.rng` / `self.metrics`
-        // stay independently borrowable alongside the slot.
-        let Some(slot) = self
-            .handles
-            .get(node.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
+        if self.is_alive(node) {
+            self.metrics.timers_fired += 1;
+            self.call(node, now, None, |proto, ctx| proto.on_timer(token, ctx));
+        } else {
             self.metrics.timers_dropped += 1;
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive {
-            self.metrics.timers_dropped += 1;
-            self.action_buf = buf;
-            return;
         }
-        self.metrics.timers_fired += 1;
-        let mut ctx = Context::for_host(
-            now,
-            node,
-            &mut self.rng,
-            buf,
-            self.telemetry.as_deref_mut(),
-            None,
-        );
-        slot.proto.on_timer(token, &mut ctx);
-        let (actions, traces) = ctx.into_parts();
-        self.record(TraceEvent::TimerFired {
-            at: now,
-            node,
-            token,
-        });
-        self.apply_actions(node, actions, traces);
     }
 
     fn dispatch_deliver(
@@ -556,42 +472,47 @@ impl<P: Protocol> Simulation<P> {
         now: SimTime,
         trace: Option<TraceCtx>,
     ) {
-        let buf = std::mem::take(&mut self.action_buf);
-        let Some(slot) = self
-            .handles
-            .get(dest.0 as usize)
-            .copied()
-            .and_then(|h| self.nodes.get_mut(h))
-        else {
+        if self.slot(dest).is_some_and(|s| s.alive && s.started) {
+            self.metrics.messages_delivered += 1;
+            self.call(dest, now, trace, |proto, ctx| {
+                proto.on_message(src, msg, ctx)
+            });
+        } else {
             self.metrics.messages_to_dead += 1;
-            self.action_buf = buf;
-            return;
-        };
-        if !slot.alive || !slot.started {
-            self.metrics.messages_to_dead += 1;
-            self.action_buf = buf;
-            return;
         }
-        self.metrics.messages_delivered += 1;
+    }
+
+    /// Run one callback on `node`'s protocol state with a [`Context`] over
+    /// the recycled action buffer, then apply the actions it recorded. The
+    /// caller has checked that the node exists and may run.
+    fn call<R>(
+        &mut self,
+        node: NodeAddr,
+        now: SimTime,
+        trace: Option<TraceCtx>,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
+    ) -> R {
+        let handle = self.handles[node.0.wrapping_sub(self.base) as usize];
+        let slot = self.nodes.get_mut(handle).expect("caller checked the slot");
         let mut ctx = Context::for_host(
             now,
-            dest,
+            node,
             &mut self.rng,
-            buf,
+            std::mem::take(&mut self.action_buf),
             self.telemetry.as_deref_mut(),
             trace,
         );
-        slot.proto.on_message(src, msg, &mut ctx);
+        let out = f(&mut slot.proto, &mut ctx);
         let (actions, traces) = ctx.into_parts();
-        self.record(TraceEvent::Delivered { at: now, src, dest });
-        self.apply_actions(dest, actions, traces);
+        self.apply_actions(node, actions, traces);
+        out
     }
 
     /// Dispatch recorded actions, then keep the (drained) buffer for the
     /// next callback. `traces` carries the trace contexts attached to sends
-    /// (by action index); each traced send becomes a hop span, and delivered
-    /// hops stash their continuation context under the scheduled event's
-    /// sequence number.
+    /// (by action index). A traced send records its hop span here, on the
+    /// sender's side, so a cross-shard hop never touches another shard's
+    /// span log: only the continuation context travels with the message.
     fn apply_actions(
         &mut self,
         origin: NodeAddr,
@@ -613,51 +534,46 @@ impl<P: Protocol> Simulation<P> {
                         _ => None,
                     };
                     self.metrics.messages_sent += 1;
-                    match self.config.link.transmit(origin, dest, &mut self.rng) {
-                        Some(latency) => {
-                            self.record(TraceEvent::Sent {
-                                at: now,
-                                src: origin,
-                                dest,
-                            });
-                            let seq = self.scheduler.schedule(
-                                now + latency,
-                                EventKind::Deliver {
-                                    src: origin,
-                                    dest,
-                                    msg,
-                                },
-                            );
-                            if let (Some(st), Some(t)) = (sent_trace, self.telemetry.as_deref_mut())
-                            {
-                                let hop = t.record_hop(
-                                    st.label,
-                                    st.ctx,
-                                    origin,
-                                    dest,
-                                    now,
-                                    Some(now + latency),
-                                );
-                                t.put_inflight(
-                                    seq,
-                                    TraceCtx {
-                                        trace_id: st.ctx.trace_id,
-                                        parent_span: hop,
-                                    },
-                                );
-                            }
+                    let Some(latency) = self.config.link.transmit(origin, dest, &mut self.rng)
+                    else {
+                        self.metrics.messages_lost += 1;
+                        if let (Some(st), Some(t)) = (sent_trace, self.telemetry.as_deref_mut()) {
+                            t.record_hop(st.label, st.ctx, origin, dest, now, None);
                         }
-                        None => {
-                            self.metrics.messages_lost += 1;
-                            self.record(TraceEvent::Lost {
-                                at: now,
-                                src: origin,
+                        continue;
+                    };
+                    let arrival = now + latency;
+                    let trace = match (sent_trace, self.telemetry.as_deref_mut()) {
+                        (Some(st), Some(t)) => Some(TraceCtx {
+                            trace_id: st.ctx.trace_id,
+                            parent_span: t.record_hop(
+                                st.label,
+                                st.ctx,
+                                origin,
                                 dest,
-                            });
-                            if let (Some(st), Some(t)) = (sent_trace, self.telemetry.as_deref_mut())
-                            {
-                                t.record_hop(st.label, st.ctx, origin, dest, now, None);
-                            }
+                                now,
+                                Some(arrival),
+                            ),
+                        }),
+                        _ => None,
+                    };
+                    let out = Outgoing {
+                        arrival,
+                        src: origin,
+                        dest,
+                        msg,
+                        trace,
+                    };
+                    if dest.0.wrapping_sub(self.base) < self.block {
+                        self.schedule_deliver(out);
+                    } else {
+                        // Out-of-range destinations clamp to the last
+                        // shard, which records them as messages_to_dead.
+                        let shard = ((dest.0 / self.block) as usize).min(self.out_bufs.len() - 1);
+                        if shard as u64 * self.block == self.base {
+                            self.schedule_deliver(out);
+                        } else {
+                            self.out_bufs[shard].push(out);
                         }
                     }
                 }
@@ -677,6 +593,23 @@ impl<P: Protocol> Simulation<P> {
             }
         }
         self.action_buf = actions;
+    }
+
+    /// Queue a delivery, stashing its trace continuation (if any) under the
+    /// scheduled event's sequence number.
+    #[inline]
+    pub(crate) fn schedule_deliver(&mut self, out: Outgoing<P::Message>) {
+        let seq = self.scheduler.schedule(
+            out.arrival,
+            EventKind::Deliver {
+                src: out.src,
+                dest: out.dest,
+                msg: out.msg,
+            },
+        );
+        if let (Some(c), Some(t)) = (out.trace, self.telemetry.as_deref_mut()) {
+            t.put_inflight(seq, c);
+        }
     }
 }
 
@@ -741,7 +674,6 @@ mod tests {
     #[test]
     fn ping_pong_round_trip() {
         let mut sim: Simulation<PingPong> = Simulation::new(ideal_config(), 1);
-        sim.enable_trace();
         let a = sim.add_node(PingPong::default());
         let b = sim.add_node(PingPong::default());
         sim.run_until_idle();
@@ -753,11 +685,6 @@ mod tests {
         assert_eq!(m.messages_delivered, 2);
         assert_eq!(m.timers_fired, 1);
         assert_eq!(m.nodes_started, 2);
-        let trace = sim.trace().unwrap();
-        assert_eq!(
-            trace.count_matching(|e| matches!(e, TraceEvent::Delivered { .. })),
-            2
-        );
     }
 
     #[test]

@@ -249,6 +249,7 @@ impl Telemetry {
     }
 
     /// Claim the trace context of a delivery, if the message carried one.
+    #[inline]
     pub fn take_inflight(&mut self, seq: u64) -> Option<TraceCtx> {
         if self.inflight.is_empty() {
             None
