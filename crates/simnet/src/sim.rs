@@ -284,8 +284,8 @@ impl<P: Protocol> Simulation<P> {
     /// Addresses of all currently alive nodes, in address order (arena
     /// index order — no sort needed).
     pub fn alive_nodes(&self) -> Vec<NodeAddr> {
-        self.all_nodes()
-            .into_iter()
+        (self.base..self.base + self.handles.len() as u64)
+            .map(NodeAddr)
             .filter(|&addr| self.is_alive(addr))
             .collect()
     }
@@ -568,7 +568,8 @@ impl<P: Protocol> Simulation<P> {
                         self.schedule_deliver(out);
                     } else {
                         // Out-of-range destinations clamp to the last
-                        // shard, which records them as messages_to_dead.
+                        // shard, which records them as messages_to_dead;
+                        // when that is this shard, deliver locally.
                         let shard = ((dest.0 / self.block) as usize).min(self.out_bufs.len() - 1);
                         if shard as u64 * self.block == self.base {
                             self.schedule_deliver(out);
