@@ -323,7 +323,13 @@ where
                         let incoming = std::mem::take(&mut *slot.lock().expect("mailbox"));
                         for out in incoming {
                             debug_assert!(out.arrival.as_micros() >= w_end.min(limit_us - 1));
-                            shard.schedule_deliver(out);
+                            shard.schedule_deliver(
+                                out.arrival,
+                                out.src,
+                                out.dest,
+                                out.msg,
+                                out.trace,
+                            );
                         }
                     }
                     if let Some(t) = shard.telemetry_mut() {

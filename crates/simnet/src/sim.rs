@@ -557,25 +557,23 @@ impl<P: Protocol> Simulation<P> {
                         }),
                         _ => None,
                     };
-                    let out = Outgoing {
-                        arrival,
-                        src: origin,
-                        dest,
-                        msg,
-                        trace,
-                    };
-                    if dest.0.wrapping_sub(self.base) < self.block {
-                        self.schedule_deliver(out);
+                    // Out-of-range destinations clamp to the last shard,
+                    // which records them as messages_to_dead.
+                    let remote = if dest.0.wrapping_sub(self.base) < self.block {
+                        None
                     } else {
-                        // Out-of-range destinations clamp to the last
-                        // shard, which records them as messages_to_dead;
-                        // when that is this shard, deliver locally.
                         let shard = ((dest.0 / self.block) as usize).min(self.out_bufs.len() - 1);
-                        if shard as u64 * self.block == self.base {
-                            self.schedule_deliver(out);
-                        } else {
-                            self.out_bufs[shard].push(out);
-                        }
+                        (shard as u64 * self.block != self.base).then_some(shard)
+                    };
+                    match remote {
+                        None => self.schedule_deliver(arrival, origin, dest, msg, trace),
+                        Some(shard) => self.out_bufs[shard].push(Outgoing {
+                            arrival,
+                            src: origin,
+                            dest,
+                            msg,
+                            trace,
+                        }),
                     }
                 }
                 Action::SetTimer { delay, token } => {
@@ -599,16 +597,18 @@ impl<P: Protocol> Simulation<P> {
     /// Queue a delivery, stashing its trace continuation (if any) under the
     /// scheduled event's sequence number.
     #[inline]
-    pub(crate) fn schedule_deliver(&mut self, out: Outgoing<P::Message>) {
-        let seq = self.scheduler.schedule(
-            out.arrival,
-            EventKind::Deliver {
-                src: out.src,
-                dest: out.dest,
-                msg: out.msg,
-            },
-        );
-        if let (Some(c), Some(t)) = (out.trace, self.telemetry.as_deref_mut()) {
+    pub(crate) fn schedule_deliver(
+        &mut self,
+        arrival: SimTime,
+        src: NodeAddr,
+        dest: NodeAddr,
+        msg: P::Message,
+        trace: Option<TraceCtx>,
+    ) {
+        let seq = self
+            .scheduler
+            .schedule(arrival, EventKind::Deliver { src, dest, msg });
+        if let (Some(c), Some(t)) = (trace, self.telemetry.as_deref_mut()) {
             t.put_inflight(seq, c);
         }
     }
