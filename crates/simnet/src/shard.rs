@@ -100,19 +100,18 @@ impl<P: Protocol> ShardedSimulation<P> {
             "sharded simulation requires a positive minimum link latency (lookahead)"
         );
         let block = (capacity as u64).div_ceil(shards as u64);
-        let count = shards;
-        let shards = (0..count)
+        let sims = (0..shards)
             .map(|index| {
                 let stream = seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                Simulation::shard(config, stream, index, block, count)
+                Simulation::shard(config, stream, index, block, shards)
             })
             .collect();
         ShardedSimulation {
+            shards: sims,
             block,
             lookahead_us,
             next_addr: 0,
             capacity: capacity as u64,
-            shards,
         }
     }
 
