@@ -264,7 +264,7 @@ fn ping_sim(n: usize, telemetry: bool) -> Simulation<PingProto> {
 /// Dispatch-loop cost with the telemetry sink off vs on: the same
 /// steady-state keep-alive population stepped one virtual second per
 /// iteration. The telemetry-on leg pays the flight-recorder ring write,
-/// the sampled (1-in-64) `Instant::now` dispatch timing and the
+/// the sampled (1-in-1024) `Instant::now` dispatch timing and the
 /// per-event sample-counter check; the delta between the two legs is
 /// the engine-profiling overhead that `reproduce --scale` gates at
 /// 10 %.

@@ -472,11 +472,11 @@ fn run_sharded(params: &ScaleParams, n: usize) -> ScaleRow {
 /// The engine-profiling leg of the sweep: the same keep-alive workload on
 /// the wheel and sharded engines with the telemetry sink off vs on, so the
 /// per-event cost of the instrumentation is a *measured* number instead of
-/// a design claim. Dispatch timing is sampled 1-in-64 with a wall clock;
+/// a design claim. Dispatch timing is sampled 1-in-1024 with a wall clock;
 /// the smoke gate bounds the overhead at 10%.
 ///
-/// The wheel legs run as [`OVERHEAD_PAIRS`] interleaved off/on pairs, each
-/// leg timed in thread CPU time (wall time where that is unavailable), and
+/// The wheel legs run as [`OVERHEAD_PAIRS`] interleaved off/on pairs of
+/// short slices, each timed by the wall clock, and
 /// [`TelemetryOverhead::overhead_pct`] is the median of the pair ratios.
 #[derive(Debug, Clone)]
 pub struct TelemetryOverhead {
@@ -514,7 +514,7 @@ impl TelemetryOverhead {
 
 /// Interleaved off/on pairs behind [`measure_telemetry_overhead`]'s ratio.
 /// Even, so each running order contributes half the pairs.
-pub const OVERHEAD_PAIRS: usize = 8;
+pub const OVERHEAD_PAIRS: usize = 256;
 
 /// Median of a non-empty sample: the mean of the middle two when even.
 fn median(mut values: Vec<f64>) -> f64 {
@@ -524,36 +524,6 @@ fn median(mut values: Vec<f64>) -> f64 {
         (values[mid - 1] + values[mid]) / 2.0
     } else {
         values[mid]
-    }
-}
-
-/// A host-time reading: the calling thread's on-CPU time from the
-/// scheduler's accounting in `/proc/thread-self/schedstat`, falling back to
-/// wall time where the file is missing. On a shared host, time stolen by
-/// other threads, processes or the hypervisor stays out of the reading.
-#[derive(Debug, Clone, Copy)]
-struct HostClock {
-    wall: Instant,
-    cpu_ns: Option<u64>,
-}
-
-impl HostClock {
-    fn now() -> Self {
-        let cpu_ns = std::fs::read_to_string("/proc/thread-self/schedstat")
-            .ok()
-            .and_then(|s| s.split_whitespace().next()?.parse().ok());
-        HostClock {
-            wall: Instant::now(),
-            cpu_ns,
-        }
-    }
-
-    /// Host seconds from `earlier` to `self`.
-    fn secs_since(self, earlier: HostClock) -> f64 {
-        match (self.cpu_ns, earlier.cpu_ns) {
-            (Some(b), Some(a)) => b.saturating_sub(a) as f64 / 1e9,
-            _ => (self.wall - earlier.wall).as_secs_f64(),
-        }
     }
 }
 
@@ -573,13 +543,18 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
     };
     // Both engines stay alive and advance through the same virtual-time
     // slices in turn, so each pair times the identical events under the
-    // same host conditions. Which side runs first alternates, because the
-    // side that also ran the previous slice starts with warm caches. Each
-    // slice takes a hundred milliseconds or more, because the thread CPU
-    // clock advances in scheduler ticks (4 ms at HZ = 250). An untimed
-    // first slice keeps start-up out of the pairs.
+    // same host conditions. A slice is half the horizon (a few host
+    // milliseconds at n = 10⁴), so the two legs of a pair run moments
+    // apart and a change in host load hits both. The wall clock times
+    // them: the per-thread CPU clock in `/proc/thread-self/schedstat`
+    // advances only in scheduler ticks (4 ms at HZ = 250), too coarse for
+    // slices this short. A slice that another thread or the hypervisor
+    // preempted is an outlier pair, which the median discards. Which side
+    // runs first alternates, because the side that also ran the previous
+    // slice starts with warm caches. An untimed first slice keeps
+    // start-up out of the pairs.
     let mut sims = [build(false), build(true)];
-    let slice_us = params.horizon.as_micros() * 16;
+    let slice_us = params.horizon.as_micros() / 2;
     let mut until = params.horizon.as_micros();
     for sim in &mut sims {
         sim.run_until(SimTime::from_micros(until));
@@ -594,9 +569,9 @@ pub fn measure_telemetry_overhead(params: &ScaleParams, n: usize) -> TelemetryOv
         for side in order {
             let sim = &mut sims[side];
             let before = sim.metrics().events_dispatched;
-            let started = HostClock::now();
+            let started = Instant::now();
             sim.run_until(SimTime::from_micros(until));
-            let secs = HostClock::now().secs_since(started);
+            let secs = started.elapsed().as_secs_f64();
             let events = sim.metrics().events_dispatched - before;
             host_secs[side] += secs;
             timed_events[side] += events;

@@ -331,10 +331,7 @@ impl<P: Protocol> Simulation<P> {
         addr: NodeAddr,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> Option<R> {
-        if !self.slot(addr)?.alive {
-            return None;
-        }
-        Some(self.call(addr, self.now(), None, f))
+        self.call(addr, self.now(), None, |s| s.alive, f)
     }
 
     /// Dispatch a single event. Returns `false` when the queue is empty.
@@ -350,33 +347,43 @@ impl<P: Protocol> Simulation<P> {
         );
         let now = event.at;
         let seq = event.seq;
-        // The digest's view of the event, shared with the flight recorder.
-        let (tag, node) = event_word(&event.kind);
-        if let Some(d) = self.digest.as_mut() {
-            *d = fold_word(*d, now, seq, tag, node);
-        }
-        // Telemetry pre-dispatch: flight-record the event, sample the
-        // scalar series on its virtual-time cadence, and decide whether
-        // this is one of the 1-in-64 dispatches whose wall-clock cost gets
-        // measured. All of it is off the hot path when telemetry is off.
-        let mut timed = None;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.recorder.record(FlightEntry {
-                at: now,
-                seq,
-                tag,
-                node,
-            });
-            t.maybe_sample(now, &self.metrics);
-            if t.should_time() {
-                timed = Some((tag, std::time::Instant::now()));
+        // Digest fold and telemetry pre-dispatch: flight-record the event,
+        // sample the scalar series on its virtual-time cadence, and decide
+        // whether this is one of the 1-in-1024 dispatches whose wall-clock
+        // cost gets measured. None of it runs when both are off.
+        if self.digest.is_some() || self.telemetry.is_some() {
+            let (tag, node) = event_word(&event.kind);
+            if let Some(d) = self.digest.as_mut() {
+                *d = fold_word(*d, now, seq, tag, node);
+            }
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                let entry = FlightEntry {
+                    at: now,
+                    seq,
+                    tag,
+                    node,
+                };
+                if t.pre_dispatch(entry, &self.metrics) {
+                    self.dispatch_timed(event.kind, now, seq, tag);
+                    return true;
+                }
             }
         }
         self.dispatch_event(event.kind, now, seq);
-        if let (Some((tag, started)), Some(t)) = (timed, self.telemetry.as_deref_mut()) {
-            t.record_dispatch(tag, started.elapsed().as_nanos() as u64);
-        }
         true
+    }
+
+    /// [`Simulation::dispatch_event`] with its wall-clock cost recorded
+    /// under the event's digest tag.
+    #[cold]
+    #[inline(never)]
+    fn dispatch_timed(&mut self, kind: EventKind<P::Message>, now: SimTime, seq: u64, tag: u8) {
+        let started = std::time::Instant::now();
+        self.dispatch_event(kind, now, seq);
+        let nanos = started.elapsed().as_nanos() as u64;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.record_dispatch(tag, nanos);
+        }
     }
 
     fn dispatch_event(&mut self, kind: EventKind<P::Message>, now: SimTime, seq: u64) {
@@ -425,15 +432,19 @@ impl<P: Protocol> Simulation<P> {
     // ---- dispatch helpers -------------------------------------------------
 
     fn dispatch_start(&mut self, node: NodeAddr, now: SimTime) {
-        let Some(slot) = self.slot_mut(node) else {
-            return;
+        let admit = |s: &mut NodeSlot<P>| {
+            if !s.alive || s.started {
+                return false;
+            }
+            s.started = true;
+            true
         };
-        if !slot.alive || slot.started {
-            return;
+        if self
+            .call(node, now, None, admit, |proto, ctx| proto.on_start(ctx))
+            .is_some()
+        {
+            self.metrics.nodes_started += 1;
         }
-        slot.started = true;
-        self.metrics.nodes_started += 1;
-        self.call(node, now, None, |proto, ctx| proto.on_start(ctx));
     }
 
     fn dispatch_fail(&mut self, node: NodeAddr) {
@@ -444,23 +455,35 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn dispatch_stop(&mut self, node: NodeAddr, now: SimTime) {
-        let Some(slot) = self.slot_mut(node).filter(|s| s.alive) else {
-            return;
-        };
         // A stopping node may still send goodbye messages, but any timers
         // it sets are pointless: they are dropped on firing because the
         // node is already dead.
-        slot.alive = false;
-        self.metrics.nodes_stopped += 1;
-        self.call(node, now, None, |proto, ctx| proto.on_stop(ctx));
+        let admit = |s: &mut NodeSlot<P>| {
+            if !s.alive {
+                return false;
+            }
+            s.alive = false;
+            true
+        };
+        if self
+            .call(node, now, None, admit, |proto, ctx| proto.on_stop(ctx))
+            .is_some()
+        {
+            self.metrics.nodes_stopped += 1;
+        }
     }
 
     fn dispatch_timer(&mut self, node: NodeAddr, token: TimerToken, now: SimTime) {
-        if self.is_alive(node) {
-            self.metrics.timers_fired += 1;
-            self.call(node, now, None, |proto, ctx| proto.on_timer(token, ctx));
-        } else {
-            self.metrics.timers_dropped += 1;
+        let fired = self.call(
+            node,
+            now,
+            None,
+            |s| s.alive,
+            |proto, ctx| proto.on_timer(token, ctx),
+        );
+        match fired {
+            Some(()) => self.metrics.timers_fired += 1,
+            None => self.metrics.timers_dropped += 1,
         }
     }
 
@@ -472,28 +495,37 @@ impl<P: Protocol> Simulation<P> {
         now: SimTime,
         trace: Option<TraceCtx>,
     ) {
-        if self.slot(dest).is_some_and(|s| s.alive && s.started) {
-            self.metrics.messages_delivered += 1;
-            self.call(dest, now, trace, |proto, ctx| {
-                proto.on_message(src, msg, ctx)
-            });
-        } else {
-            self.metrics.messages_to_dead += 1;
+        let delivered = self.call(
+            dest,
+            now,
+            trace,
+            |s| s.alive && s.started,
+            |proto, ctx| proto.on_message(src, msg, ctx),
+        );
+        match delivered {
+            Some(()) => self.metrics.messages_delivered += 1,
+            None => self.metrics.messages_to_dead += 1,
         }
     }
 
-    /// Run one callback on `node`'s protocol state with a [`Context`] over
-    /// the recycled action buffer, then apply the actions it recorded. The
-    /// caller has checked that the node exists and may run.
+    /// Look `node` up once and, if it exists and `admit` lets it run (the
+    /// predicate may also update the slot's flags), run one callback on
+    /// its protocol state with a [`Context`] over the recycled action
+    /// buffer, then apply the actions it recorded. `None` means the
+    /// callback did not run.
     fn call<R>(
         &mut self,
         node: NodeAddr,
         now: SimTime,
         trace: Option<TraceCtx>,
+        admit: impl FnOnce(&mut NodeSlot<P>) -> bool,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
-    ) -> R {
-        let handle = self.handles[node.0.wrapping_sub(self.base) as usize];
-        let slot = self.nodes.get_mut(handle).expect("caller checked the slot");
+    ) -> Option<R> {
+        let handle = *self.handles.get(node.0.wrapping_sub(self.base) as usize)?;
+        let slot = self.nodes.get_mut(handle)?;
+        if !admit(slot) {
+            return None;
+        }
         let mut ctx = Context::for_host(
             now,
             node,
@@ -505,7 +537,7 @@ impl<P: Protocol> Simulation<P> {
         let out = f(&mut slot.proto, &mut ctx);
         let (actions, traces) = ctx.into_parts();
         self.apply_actions(node, actions, traces);
-        out
+        Some(out)
     }
 
     /// Dispatch recorded actions, then keep the (drained) buffer for the

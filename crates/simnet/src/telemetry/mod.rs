@@ -14,7 +14,7 @@
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `engine.dispatch_ns.{deliver,timer,start,fail,stop}` | histogram | wall-clock ns per dispatched event, 1-in-64 sampled |
+//! | `engine.dispatch_ns.{deliver,timer,start,fail,stop}` | histogram | wall-clock ns per dispatched event, 1-in-1024 sampled |
 //! | `engine.barrier_stall_ns` | histogram | wall-clock ns a shard thread spent blocked per barrier wait |
 //! | `engine.barrier_epochs` | counter | epochs the sharded engine completed |
 //! | `sim.events`, `sim.messages_sent`, … | counter | mirrors of [`SimMetrics`], refreshed at each sample tick |
@@ -72,7 +72,7 @@ pub struct TelemetryConfig {
     pub span_capacity: usize,
     /// Virtual-time cadence for sampling scalars into series.
     pub sample_every: SimDuration,
-    /// Sample wall-clock dispatch cost (1 event in 64) into the
+    /// Sample wall-clock dispatch cost (1 event in 1024) into the
     /// per-event-kind histograms.
     pub time_dispatch: bool,
 }
@@ -105,6 +105,9 @@ struct EngineIds {
     sim: [MetricId; 6],
 }
 
+/// One dispatch in this many has its wall-clock cost timed.
+const TIME_EVERY: u32 = 1024;
+
 /// Per-host telemetry state: registry, span log, flight recorder and the
 /// deterministic id allocators. One per [`crate::Simulation`]; one per
 /// shard under [`crate::ShardedSimulation`].
@@ -120,7 +123,9 @@ pub struct Telemetry {
     tag: u64,
     next_span: u64,
     next_trace: u64,
-    dispatch_tick: u64,
+    /// Dispatches left until the next timed one; counts down from
+    /// [`TIME_EVERY`].
+    until_timed: u32,
     time_dispatch: bool,
     sample_every: SimDuration,
     next_sample: SimTime,
@@ -164,7 +169,7 @@ impl Telemetry {
             tag: tag << 48,
             next_span: 0,
             next_trace: 0,
-            dispatch_tick: 0,
+            until_timed: TIME_EVERY,
             time_dispatch: config.time_dispatch,
             sample_every: config.sample_every,
             next_sample: SimTime::ZERO + config.sample_every,
@@ -258,12 +263,39 @@ impl Telemetry {
         }
     }
 
-    /// True on the 1-in-64 dispatches whose wall-clock cost should be
-    /// measured (keeps `Instant::now` off the common path).
+    /// True on the 1-in-[`TIME_EVERY`] dispatches whose wall-clock cost
+    /// should be measured (keeps `Instant::now` off the common path).
     #[inline]
     pub fn should_time(&mut self) -> bool {
-        self.dispatch_tick = self.dispatch_tick.wrapping_add(1);
-        self.time_dispatch && self.dispatch_tick & 63 == 0
+        self.until_timed -= 1;
+        if self.until_timed == 0 {
+            self.until_timed = TIME_EVERY;
+            self.time_dispatch
+        } else {
+            false
+        }
+    }
+
+    /// The per-event telemetry work of a host: flight-record `entry`, then
+    /// [`Telemetry::maybe_sample`] and [`Telemetry::should_time`], whose
+    /// answer it returns. While neither a sample nor a timed dispatch is
+    /// due, that is the ring write and two compares; the rest runs out of
+    /// line.
+    #[inline]
+    pub(crate) fn pre_dispatch(&mut self, entry: FlightEntry, metrics: &SimMetrics) -> bool {
+        self.recorder.record(entry);
+        if self.until_timed > 1 && entry.at < self.next_sample {
+            self.until_timed -= 1;
+            return false;
+        }
+        self.periodic(entry.at, metrics)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn periodic(&mut self, now: SimTime, metrics: &SimMetrics) -> bool {
+        self.maybe_sample(now, metrics);
+        self.should_time()
     }
 
     /// Record a sampled dispatch cost for digest tag `tag` (0 deliver …
@@ -369,7 +401,7 @@ mod tests {
     #[test]
     fn dispatch_timing_is_subsampled() {
         let mut t = Telemetry::new(TelemetryConfig::default());
-        let timed = (0..256).filter(|_| t.should_time()).count();
+        let timed = (0..4 * TIME_EVERY).filter(|_| t.should_time()).count();
         assert_eq!(timed, 4);
         t.record_dispatch(0, 100);
         assert_eq!(t.dispatch_samples(), 1);

@@ -37,12 +37,13 @@ impl FlightEntry {
 /// Fixed-capacity ring buffer of [`FlightEntry`]s.
 #[derive(Debug)]
 pub struct FlightRecorder {
+    /// The ring, allocated at full capacity up front so a write is one
+    /// store and one wrap check, with no "still filling" branch.
     buf: Vec<FlightEntry>,
-    cap: usize,
-    /// Next overwrite position once full == index of the oldest entry;
-    /// stays 0 while filling. A compare-and-reset cursor instead of
-    /// `total % cap`: this runs once per dispatched event, and a u64
-    /// division by a runtime capacity is most of the ring's cost.
+    /// Next write position == index of the oldest entry once the ring has
+    /// wrapped. A compare-and-reset cursor instead of `total % cap`: this
+    /// runs once per dispatched event, and a u64 division by a runtime
+    /// capacity is most of the ring's cost.
     head: usize,
     total: u64,
 }
@@ -51,8 +52,7 @@ impl FlightRecorder {
     /// A recorder retaining the most recent `cap` events.
     pub fn new(cap: usize) -> Self {
         FlightRecorder {
-            buf: Vec::with_capacity(cap.min(1 << 20)),
-            cap: cap.max(1),
+            buf: vec![FlightEntry::default(); cap.max(1)],
             head: 0,
             total: 0,
         }
@@ -61,14 +61,10 @@ impl FlightRecorder {
     /// Record one event, evicting the oldest past capacity.
     #[inline]
     pub fn record(&mut self, entry: FlightEntry) {
-        if self.buf.len() < self.cap {
-            self.buf.push(entry);
-        } else {
-            self.buf[self.head] = entry;
-            self.head += 1;
-            if self.head == self.cap {
-                self.head = 0;
-            }
+        self.buf[self.head] = entry;
+        self.head += 1;
+        if self.head == self.buf.len() {
+            self.head = 0;
         }
         self.total += 1;
     }
@@ -80,17 +76,23 @@ impl FlightRecorder {
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.total.min(self.buf.len() as u64) as usize
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.total == 0
     }
 
     /// Retained entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.buf[self.head..]
+        // Before the ring wraps, the unwritten tail after `head` is skipped.
+        let oldest = if self.len() < self.buf.len() {
+            self.buf.len()
+        } else {
+            self.head
+        };
+        self.buf[oldest..]
             .iter()
             .chain(self.buf[..self.head].iter())
     }
@@ -164,6 +166,12 @@ mod tests {
                 tag: 1,
                 node: seq,
             });
+            if seq == 1 {
+                // Not yet full: only the written entries, oldest first.
+                assert_eq!(r.len(), 2);
+                let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
+                assert_eq!(seqs, vec![0, 1]);
+            }
         }
         assert_eq!(r.total(), 5);
         assert_eq!(r.len(), 3);
