@@ -1508,6 +1508,50 @@ mod tests {
         let empty = encode_batch(&[]);
         assert_eq!(decode_datagram(&empty).expect("empty batch").len(), 0);
     }
+
+    /// The wire tag of every message kind, by kind index. Tag order is not
+    /// index order: the replication tags (20–22) were assigned after the
+    /// multicast ones (18–19).
+    #[test]
+    fn every_kind_encodes_with_its_pinned_tag() {
+        const TAGS: [u8; 34] = [
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 21, 22, 18, 19, 23, 24,
+            25, 26, 27, 28, 29, 30, 31, 32, 33, 34,
+        ];
+        let mut msgs = all_messages();
+        msgs.extend([
+            TreePMessage::Subscribe {
+                request_id: RequestId(1),
+                origin: peer(40, 0),
+                topic: NodeId(2),
+                ttl: 3,
+            },
+            TreePMessage::SubscribeAck {
+                request_id: RequestId(1),
+                topic: NodeId(2),
+                subscribers: 4,
+                stored_at: peer(41, 1),
+            },
+            TreePMessage::Unsubscribe {
+                request_id: RequestId(5),
+                origin: peer(40, 0),
+                topic: NodeId(2),
+                ttl: 3,
+            },
+            TreePMessage::FilterReport {
+                child: peer(42, 0),
+                topics: vec![NodeId(2)],
+                overflow: false,
+            },
+        ]);
+        let mut seen = [false; 34];
+        for msg in &msgs {
+            let index = msg.kind().index();
+            assert_eq!(encode_message(msg)[0], TAGS[index], "{:?}", msg.kind());
+            seen[index] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every kind is exercised");
+    }
 }
 
 #[cfg(test)]
@@ -1716,6 +1760,100 @@ mod wire_compat {
             all.len()
         );
         assert_eq!(all.len(), 1278, "legacy encodings changed length");
+    }
+
+    /// Sub-encodings the three tag goldens never reach: empty options,
+    /// the `Aggregate` payload, the `Count` / `MaxCapability` partials, the
+    /// remaining phase / query / read-source bytes, and a batch frame.
+    #[test]
+    fn uncovered_sub_encodings_are_frozen() {
+        let messages = vec![
+            TreePMessage::JoinAck {
+                responder: peer(61, 161, 1),
+                contacts: vec![],
+                parent: None,
+            },
+            TreePMessage::DhtGetReply {
+                request_id: RequestId(921),
+                key: NodeId(9_000),
+                value: None,
+                responder: peer(62, 162, 0),
+            },
+            TreePMessage::GetVersioned {
+                request_id: RequestId(922),
+                origin: peer(63, 163, 0),
+                key: NodeId(9_001),
+                ttl: 5,
+                min_stamp: None,
+                path: vec![NodeAddr(163)],
+            },
+            TreePMessage::MulticastDown {
+                origin: peer(64, 164, 0),
+                request_id: RequestId(923),
+                range: KeyRange::new(NodeId(5), NodeId(50)),
+                payload: MulticastPayload::Aggregate(AggregateQuery::CountNodes),
+                budget: 32,
+                hops: 0,
+                phase: MulticastPhase::Up,
+                bus_level: 0,
+            },
+            TreePMessage::MulticastDown {
+                origin: peer(65, 165, 2),
+                request_id: RequestId(924),
+                range: KeyRange::new(NodeId(60), NodeId(600)),
+                payload: MulticastPayload::Aggregate(AggregateQuery::MaxCapability),
+                budget: 16,
+                hops: 3,
+                phase: MulticastPhase::BusLeft,
+                bus_level: 2,
+            },
+            TreePMessage::AggregateUp {
+                origin: peer(66, 166, 0),
+                request_id: RequestId(925),
+                query: AggregateQuery::CountNodes,
+                partial: AggregatePartial::Count(41),
+                truncated: false,
+                final_answer: true,
+            },
+            TreePMessage::AggregateUp {
+                origin: peer(67, 167, 1),
+                request_id: RequestId(926),
+                query: AggregateQuery::MaxCapability,
+                partial: AggregatePartial::MaxCapability(875),
+                truncated: true,
+                final_answer: false,
+            },
+            TreePMessage::GetVersionedReply {
+                request_id: RequestId(922),
+                origin: NodeAddr(163),
+                key: NodeId(9_001),
+                value: Some(StampedValue {
+                    stamp: VersionStamp {
+                        version: 2,
+                        origin: NodeId(68),
+                    },
+                    value: b"hot".to_vec(),
+                }),
+                source: ReadSource::Cache,
+                hops: 1,
+                responder: peer(68, 168, 0),
+                path: vec![],
+            },
+        ];
+        let mut all = Vec::new();
+        for msg in &messages {
+            let encoded = encode_message(msg);
+            assert_eq!(decode_message(&encoded).as_ref(), Ok(msg));
+            all.extend_from_slice(&encoded);
+        }
+        let batch = encode_batch(&messages[..3]);
+        assert_eq!(decode_datagram(&batch).unwrap(), messages[..3].to_vec());
+        all.extend_from_slice(&batch);
+        assert_eq!(
+            (fnv1a64(&all), all.len()),
+            (0xFF19_637F_F650_1227_u64, 593),
+            "sub-encoding wire format changed"
+        );
     }
 }
 

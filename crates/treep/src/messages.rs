@@ -997,6 +997,57 @@ mod tests {
         assert_eq!(report.origin_addr(), None);
     }
 
+    /// The whole kind table, literally: per-kind counter arrays are indexed
+    /// by `index()` and report keys (`treep.sent.<name>`) use `name()`, so
+    /// neither may move.
+    #[test]
+    fn kind_table_is_pinned() {
+        const TABLE: [(usize, &str, bool); MessageKind::COUNT] = [
+            (0, "join_request", true),
+            (1, "join_ack", true),
+            (2, "keep_alive", true),
+            (3, "keep_alive_ack", true),
+            (4, "child_report", true),
+            (5, "child_report_ack", true),
+            (6, "election_call", true),
+            (7, "parent_announce", true),
+            (8, "parent_accept", true),
+            (9, "demotion", true),
+            (10, "lookup", false),
+            (11, "lookup_found", false),
+            (12, "lookup_not_found", false),
+            (13, "dht_put", false),
+            (14, "dht_put_ack", false),
+            (15, "dht_get", false),
+            (16, "dht_get_reply", false),
+            (17, "replica_put", true),
+            (18, "replica_sync_request", true),
+            (19, "replica_sync_reply", true),
+            (20, "multicast_down", false),
+            (21, "aggregate_up", false),
+            (22, "multicast_ack", false),
+            (23, "aggregate_ack", false),
+            (24, "get_versioned", false),
+            (25, "get_versioned_reply", false),
+            (26, "put_versioned", false),
+            (27, "put_versioned_ack", false),
+            (28, "read_repair", true),
+            (29, "read_verify", false),
+            (30, "subscribe", false),
+            (31, "subscribe_ack", false),
+            (32, "unsubscribe", false),
+            (33, "filter_report", true),
+        ];
+        assert_eq!(MessageKind::COUNT, 34);
+        for (kind, &(index, name, maintenance)) in MessageKind::ALL.iter().zip(&TABLE) {
+            assert_eq!(
+                (kind.index(), kind.name(), kind.is_maintenance()),
+                (index, name, maintenance)
+            );
+            assert_eq!(kind.to_string(), name);
+        }
+    }
+
     #[test]
     fn origin_addr_only_for_routed_requests() {
         let get = TreePMessage::DhtGet {
