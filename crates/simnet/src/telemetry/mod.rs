@@ -263,7 +263,7 @@ impl Telemetry {
         }
     }
 
-    /// True on the 1-in-[`TIME_EVERY`] dispatches whose wall-clock cost
+    /// True on the one dispatch in every `TIME_EVERY` whose wall-clock cost
     /// should be measured (keeps `Instant::now` off the common path).
     #[inline]
     pub fn should_time(&mut self) -> bool {

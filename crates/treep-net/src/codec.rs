@@ -5,6 +5,11 @@
 //! format is self-contained (no schema negotiation) and deliberately boring:
 //! the goal is a dependency-free wire encoding whose round-trip is easy to
 //! test exhaustively.
+//!
+//! The message encoding is generated from the `treep` message table
+//! ([`treep::treep_messages!`]): a message is its row's tag byte followed by
+//! its fields in row order. Each field type has exactly one encoding here,
+//! shared by every message that carries it.
 
 use bytes::{Buf, BufMut, BytesMut};
 use simnet::NodeAddr;
@@ -37,646 +42,25 @@ impl std::error::Error for CodecError {}
 
 type Result<T> = std::result::Result<T, CodecError>;
 
-// ---- message tags ----------------------------------------------------------
-
-const TAG_JOIN_REQUEST: u8 = 1;
-const TAG_JOIN_ACK: u8 = 2;
-const TAG_KEEP_ALIVE: u8 = 3;
-const TAG_KEEP_ALIVE_ACK: u8 = 4;
-const TAG_CHILD_REPORT: u8 = 5;
-const TAG_CHILD_REPORT_ACK: u8 = 6;
-const TAG_ELECTION_CALL: u8 = 7;
-const TAG_PARENT_ANNOUNCE: u8 = 8;
-const TAG_PARENT_ACCEPT: u8 = 9;
-const TAG_DEMOTION: u8 = 10;
-const TAG_LOOKUP: u8 = 11;
-const TAG_LOOKUP_FOUND: u8 = 12;
-const TAG_LOOKUP_NOT_FOUND: u8 = 13;
-const TAG_DHT_PUT: u8 = 14;
-const TAG_DHT_PUT_ACK: u8 = 15;
-const TAG_DHT_GET: u8 = 16;
-const TAG_DHT_GET_REPLY: u8 = 17;
-const TAG_MULTICAST_DOWN: u8 = 18;
-const TAG_AGGREGATE_UP: u8 = 19;
-const TAG_REPLICA_PUT: u8 = 20;
-const TAG_REPLICA_SYNC_REQUEST: u8 = 21;
-const TAG_REPLICA_SYNC_REPLY: u8 = 22;
-const TAG_MULTICAST_ACK: u8 = 23;
-const TAG_AGGREGATE_ACK: u8 = 24;
-const TAG_GET_VERSIONED: u8 = 25;
-const TAG_GET_VERSIONED_REPLY: u8 = 26;
-const TAG_PUT_VERSIONED: u8 = 27;
-const TAG_PUT_VERSIONED_ACK: u8 = 28;
-const TAG_READ_REPAIR: u8 = 29;
-const TAG_READ_VERIFY: u8 = 30;
-const TAG_SUBSCRIBE: u8 = 31;
-const TAG_SUBSCRIBE_ACK: u8 = 32;
-const TAG_UNSUBSCRIBE: u8 = 33;
-const TAG_FILTER_REPORT: u8 = 34;
-
 // ---- public API -------------------------------------------------------------
 
 /// Encode a message into a fresh buffer.
 pub fn encode_message(msg: &TreePMessage) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(128);
-    match msg {
-        TreePMessage::JoinRequest { joiner } => {
-            buf.put_u8(TAG_JOIN_REQUEST);
-            put_peer(&mut buf, joiner);
-        }
-        TreePMessage::JoinAck {
-            responder,
-            contacts,
-            parent,
-        } => {
-            buf.put_u8(TAG_JOIN_ACK);
-            put_peer(&mut buf, responder);
-            put_peers(&mut buf, contacts);
-            put_opt_peer(&mut buf, parent.as_ref());
-        }
-        TreePMessage::KeepAlive { sender, updates } => {
-            buf.put_u8(TAG_KEEP_ALIVE);
-            put_peer(&mut buf, sender);
-            put_updates(&mut buf, updates);
-        }
-        TreePMessage::KeepAliveAck { sender, updates } => {
-            buf.put_u8(TAG_KEEP_ALIVE_ACK);
-            put_peer(&mut buf, sender);
-            put_updates(&mut buf, updates);
-        }
-        TreePMessage::ChildReport { child, span } => {
-            buf.put_u8(TAG_CHILD_REPORT);
-            put_peer(&mut buf, child);
-            put_range(&mut buf, span);
-        }
-        TreePMessage::ChildReportAck { parent, superiors } => {
-            buf.put_u8(TAG_CHILD_REPORT_ACK);
-            put_peer(&mut buf, parent);
-            put_peers(&mut buf, superiors);
-        }
-        TreePMessage::ElectionCall { level, caller } => {
-            buf.put_u8(TAG_ELECTION_CALL);
-            buf.put_u32_le(*level);
-            put_peer(&mut buf, caller);
-        }
-        TreePMessage::ParentAnnounce { level, parent } => {
-            buf.put_u8(TAG_PARENT_ANNOUNCE);
-            buf.put_u32_le(*level);
-            put_peer(&mut buf, parent);
-        }
-        TreePMessage::ParentAccept { child } => {
-            buf.put_u8(TAG_PARENT_ACCEPT);
-            put_peer(&mut buf, child);
-        }
-        TreePMessage::Demotion { node, from_level } => {
-            buf.put_u8(TAG_DEMOTION);
-            put_peer(&mut buf, node);
-            buf.put_u32_le(*from_level);
-        }
-        TreePMessage::Lookup(req) => {
-            buf.put_u8(TAG_LOOKUP);
-            put_lookup_request(&mut buf, req);
-        }
-        TreePMessage::LookupFound {
-            request_id,
-            target,
-            result,
-            hops,
-            algorithm,
-        } => {
-            buf.put_u8(TAG_LOOKUP_FOUND);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(target.0);
-            put_peer(&mut buf, result);
-            buf.put_u32_le(*hops);
-            buf.put_u8(algorithm_tag(*algorithm));
-        }
-        TreePMessage::LookupNotFound {
-            request_id,
-            target,
-            hops,
-            algorithm,
-        } => {
-            buf.put_u8(TAG_LOOKUP_NOT_FOUND);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(target.0);
-            buf.put_u32_le(*hops);
-            buf.put_u8(algorithm_tag(*algorithm));
-        }
-        TreePMessage::DhtPut {
-            request_id,
-            origin,
-            key,
-            value,
-            ttl,
-        } => {
-            buf.put_u8(TAG_DHT_PUT);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            put_bytes(&mut buf, value);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::DhtPutAck {
-            request_id,
-            key,
-            stored_at,
-        } => {
-            buf.put_u8(TAG_DHT_PUT_ACK);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(key.0);
-            put_peer(&mut buf, stored_at);
-        }
-        TreePMessage::DhtGet {
-            request_id,
-            origin,
-            key,
-            ttl,
-        } => {
-            buf.put_u8(TAG_DHT_GET);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::DhtGetReply {
-            request_id,
-            key,
-            value,
-            responder,
-        } => {
-            buf.put_u8(TAG_DHT_GET_REPLY);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(key.0);
-            match value {
-                Some(v) => {
-                    buf.put_u8(1);
-                    put_bytes(&mut buf, v);
-                }
-                None => buf.put_u8(0),
-            }
-            put_peer(&mut buf, responder);
-        }
-        TreePMessage::ReplicaPut { sender, key, value } => {
-            buf.put_u8(TAG_REPLICA_PUT);
-            put_peer(&mut buf, sender);
-            buf.put_u64_le(key.0);
-            put_bytes(&mut buf, value);
-        }
-        TreePMessage::ReplicaSyncRequest {
-            sender,
-            range,
-            keys,
-        } => {
-            buf.put_u8(TAG_REPLICA_SYNC_REQUEST);
-            put_peer(&mut buf, sender);
-            put_range(&mut buf, range);
-            put_node_ids(&mut buf, keys);
-        }
-        TreePMessage::ReplicaSyncReply {
-            sender,
-            range,
-            entries,
-            want,
-        } => {
-            buf.put_u8(TAG_REPLICA_SYNC_REPLY);
-            put_peer(&mut buf, sender);
-            put_range(&mut buf, range);
-            buf.put_u32_le(entries.len() as u32);
-            for entry in entries {
-                buf.put_u64_le(entry.key.0);
-                put_bytes(&mut buf, &entry.value);
-            }
-            put_node_ids(&mut buf, want);
-        }
-        TreePMessage::MulticastDown {
-            origin,
-            request_id,
-            range,
-            payload,
-            budget,
-            hops,
-            phase,
-            bus_level,
-        } => {
-            buf.put_u8(TAG_MULTICAST_DOWN);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(request_id.0);
-            put_range(&mut buf, range);
-            put_multicast_payload(&mut buf, payload);
-            buf.put_u32_le(*budget);
-            buf.put_u32_le(*hops);
-            buf.put_u8(phase_tag(*phase));
-            buf.put_u32_le(*bus_level);
-        }
-        TreePMessage::AggregateUp {
-            origin,
-            request_id,
-            query,
-            partial,
-            truncated,
-            final_answer,
-        } => {
-            buf.put_u8(TAG_AGGREGATE_UP);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(request_id.0);
-            buf.put_u8(query_tag(*query));
-            put_partial(&mut buf, partial);
-            buf.put_u8(u8::from(*truncated));
-            buf.put_u8(u8::from(*final_answer));
-        }
-        TreePMessage::MulticastAck { origin, request_id } => {
-            buf.put_u8(TAG_MULTICAST_ACK);
-            buf.put_u64_le(origin.0);
-            buf.put_u64_le(request_id.0);
-        }
-        TreePMessage::AggregateAck { origin, request_id } => {
-            buf.put_u8(TAG_AGGREGATE_ACK);
-            buf.put_u64_le(origin.0);
-            buf.put_u64_le(request_id.0);
-        }
-        TreePMessage::GetVersioned {
-            request_id,
-            origin,
-            key,
-            ttl,
-            min_stamp,
-            path,
-        } => {
-            buf.put_u8(TAG_GET_VERSIONED);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            buf.put_u32_le(*ttl);
-            match min_stamp {
-                Some(s) => {
-                    buf.put_u8(1);
-                    put_stamp(&mut buf, s);
-                }
-                None => buf.put_u8(0),
-            }
-            put_addrs(&mut buf, path);
-        }
-        TreePMessage::GetVersionedReply {
-            request_id,
-            origin,
-            key,
-            value,
-            source,
-            hops,
-            responder,
-            path,
-        } => {
-            buf.put_u8(TAG_GET_VERSIONED_REPLY);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(origin.0);
-            buf.put_u64_le(key.0);
-            match value {
-                Some(sv) => {
-                    buf.put_u8(1);
-                    put_stamp(&mut buf, &sv.stamp);
-                    put_bytes(&mut buf, &sv.value);
-                }
-                None => buf.put_u8(0),
-            }
-            buf.put_u8(source_tag(*source));
-            buf.put_u32_le(*hops);
-            put_peer(&mut buf, responder);
-            put_addrs(&mut buf, path);
-        }
-        TreePMessage::PutVersioned {
-            request_id,
-            origin,
-            key,
-            stamp,
-            value,
-            ttl,
-        } => {
-            buf.put_u8(TAG_PUT_VERSIONED);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, stamp);
-            put_bytes(&mut buf, value);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::PutVersionedAck {
-            request_id,
-            key,
-            stamp,
-            stored_at,
-        } => {
-            buf.put_u8(TAG_PUT_VERSIONED_ACK);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, stamp);
-            put_peer(&mut buf, stored_at);
-        }
-        TreePMessage::ReadRepair {
-            sender,
-            key,
-            stamp,
-            value,
-        } => {
-            buf.put_u8(TAG_READ_REPAIR);
-            put_peer(&mut buf, sender);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, stamp);
-            put_bytes(&mut buf, value);
-        }
-        TreePMessage::ReadVerify {
-            server,
-            key,
-            served_stamp,
-            ttl,
-        } => {
-            buf.put_u8(TAG_READ_VERIFY);
-            put_peer(&mut buf, server);
-            buf.put_u64_le(key.0);
-            put_stamp(&mut buf, served_stamp);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::Subscribe {
-            request_id,
-            origin,
-            topic,
-            ttl,
-        } => {
-            buf.put_u8(TAG_SUBSCRIBE);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(topic.0);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::SubscribeAck {
-            request_id,
-            topic,
-            subscribers,
-            stored_at,
-        } => {
-            buf.put_u8(TAG_SUBSCRIBE_ACK);
-            buf.put_u64_le(request_id.0);
-            buf.put_u64_le(topic.0);
-            buf.put_u32_le(*subscribers);
-            put_peer(&mut buf, stored_at);
-        }
-        TreePMessage::Unsubscribe {
-            request_id,
-            origin,
-            topic,
-            ttl,
-        } => {
-            buf.put_u8(TAG_UNSUBSCRIBE);
-            buf.put_u64_le(request_id.0);
-            put_peer(&mut buf, origin);
-            buf.put_u64_le(topic.0);
-            buf.put_u32_le(*ttl);
-        }
-        TreePMessage::FilterReport {
-            child,
-            topics,
-            overflow,
-        } => {
-            buf.put_u8(TAG_FILTER_REPORT);
-            put_peer(&mut buf, child);
-            put_node_ids(&mut buf, topics);
-            buf.put_u8(u8::from(*overflow));
-        }
-    }
+    msg.put(&mut buf);
     buf.to_vec()
 }
 
 /// Decode one message from a datagram.
 pub fn decode_message(mut buf: &[u8]) -> Result<TreePMessage> {
-    let tag = get_u8(&mut buf)?;
-    let msg = match tag {
-        TAG_JOIN_REQUEST => TreePMessage::JoinRequest {
-            joiner: get_peer(&mut buf)?,
-        },
-        TAG_JOIN_ACK => TreePMessage::JoinAck {
-            responder: get_peer(&mut buf)?,
-            contacts: get_peers(&mut buf)?,
-            parent: get_opt_peer(&mut buf)?,
-        },
-        TAG_KEEP_ALIVE => TreePMessage::KeepAlive {
-            sender: get_peer(&mut buf)?,
-            updates: get_updates(&mut buf)?,
-        },
-        TAG_KEEP_ALIVE_ACK => TreePMessage::KeepAliveAck {
-            sender: get_peer(&mut buf)?,
-            updates: get_updates(&mut buf)?,
-        },
-        TAG_CHILD_REPORT => TreePMessage::ChildReport {
-            child: get_peer(&mut buf)?,
-            span: get_range(&mut buf)?,
-        },
-        TAG_CHILD_REPORT_ACK => TreePMessage::ChildReportAck {
-            parent: get_peer(&mut buf)?,
-            superiors: get_peers(&mut buf)?,
-        },
-        TAG_ELECTION_CALL => TreePMessage::ElectionCall {
-            level: get_u32(&mut buf)?,
-            caller: get_peer(&mut buf)?,
-        },
-        TAG_PARENT_ANNOUNCE => TreePMessage::ParentAnnounce {
-            level: get_u32(&mut buf)?,
-            parent: get_peer(&mut buf)?,
-        },
-        TAG_PARENT_ACCEPT => TreePMessage::ParentAccept {
-            child: get_peer(&mut buf)?,
-        },
-        TAG_DEMOTION => TreePMessage::Demotion {
-            node: get_peer(&mut buf)?,
-            from_level: get_u32(&mut buf)?,
-        },
-        TAG_LOOKUP => TreePMessage::Lookup(get_lookup_request(&mut buf)?),
-        TAG_LOOKUP_FOUND => TreePMessage::LookupFound {
-            request_id: RequestId(get_u64(&mut buf)?),
-            target: NodeId(get_u64(&mut buf)?),
-            result: get_peer(&mut buf)?,
-            hops: get_u32(&mut buf)?,
-            algorithm: algorithm_from_tag(get_u8(&mut buf)?)?,
-        },
-        TAG_LOOKUP_NOT_FOUND => TreePMessage::LookupNotFound {
-            request_id: RequestId(get_u64(&mut buf)?),
-            target: NodeId(get_u64(&mut buf)?),
-            hops: get_u32(&mut buf)?,
-            algorithm: algorithm_from_tag(get_u8(&mut buf)?)?,
-        },
-        TAG_DHT_PUT => TreePMessage::DhtPut {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            value: get_bytes(&mut buf)?,
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_DHT_PUT_ACK => TreePMessage::DhtPutAck {
-            request_id: RequestId(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            stored_at: get_peer(&mut buf)?,
-        },
-        TAG_DHT_GET => TreePMessage::DhtGet {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_DHT_GET_REPLY => TreePMessage::DhtGetReply {
-            request_id: RequestId(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            value: {
-                if get_u8(&mut buf)? == 1 {
-                    Some(get_bytes(&mut buf)?)
-                } else {
-                    None
-                }
-            },
-            responder: get_peer(&mut buf)?,
-        },
-        TAG_REPLICA_PUT => TreePMessage::ReplicaPut {
-            sender: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            value: get_bytes(&mut buf)?,
-        },
-        TAG_REPLICA_SYNC_REQUEST => TreePMessage::ReplicaSyncRequest {
-            sender: get_peer(&mut buf)?,
-            range: get_range(&mut buf)?,
-            keys: get_node_ids(&mut buf)?,
-        },
-        TAG_REPLICA_SYNC_REPLY => TreePMessage::ReplicaSyncReply {
-            sender: get_peer(&mut buf)?,
-            range: get_range(&mut buf)?,
-            entries: {
-                let n = get_u32(&mut buf)? as usize;
-                let mut out = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    out.push(ReplicaEntry {
-                        key: NodeId(get_u64(&mut buf)?),
-                        value: get_bytes(&mut buf)?,
-                    });
-                }
-                out
-            },
-            want: get_node_ids(&mut buf)?,
-        },
-        TAG_MULTICAST_DOWN => TreePMessage::MulticastDown {
-            origin: get_peer(&mut buf)?,
-            request_id: RequestId(get_u64(&mut buf)?),
-            range: get_range(&mut buf)?,
-            payload: get_multicast_payload(&mut buf)?,
-            budget: get_u32(&mut buf)?,
-            hops: get_u32(&mut buf)?,
-            phase: phase_from_tag(get_u8(&mut buf)?)?,
-            bus_level: get_u32(&mut buf)?,
-        },
-        TAG_AGGREGATE_UP => TreePMessage::AggregateUp {
-            origin: get_peer(&mut buf)?,
-            request_id: RequestId(get_u64(&mut buf)?),
-            query: query_from_tag(get_u8(&mut buf)?)?,
-            partial: get_partial(&mut buf)?,
-            truncated: get_bool(&mut buf)?,
-            final_answer: get_bool(&mut buf)?,
-        },
-        TAG_MULTICAST_ACK => TreePMessage::MulticastAck {
-            origin: NodeAddr(get_u64(&mut buf)?),
-            request_id: RequestId(get_u64(&mut buf)?),
-        },
-        TAG_AGGREGATE_ACK => TreePMessage::AggregateAck {
-            origin: NodeAddr(get_u64(&mut buf)?),
-            request_id: RequestId(get_u64(&mut buf)?),
-        },
-        TAG_GET_VERSIONED => TreePMessage::GetVersioned {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-            min_stamp: {
-                if get_u8(&mut buf)? == 1 {
-                    Some(get_stamp(&mut buf)?)
-                } else {
-                    None
-                }
-            },
-            path: get_addrs(&mut buf)?,
-        },
-        TAG_GET_VERSIONED_REPLY => TreePMessage::GetVersionedReply {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: NodeAddr(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            value: {
-                if get_u8(&mut buf)? == 1 {
-                    Some(StampedValue {
-                        stamp: get_stamp(&mut buf)?,
-                        value: get_bytes(&mut buf)?,
-                    })
-                } else {
-                    None
-                }
-            },
-            source: source_from_tag(get_u8(&mut buf)?)?,
-            hops: get_u32(&mut buf)?,
-            responder: get_peer(&mut buf)?,
-            path: get_addrs(&mut buf)?,
-        },
-        TAG_PUT_VERSIONED => TreePMessage::PutVersioned {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            stamp: get_stamp(&mut buf)?,
-            value: get_bytes(&mut buf)?,
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_PUT_VERSIONED_ACK => TreePMessage::PutVersionedAck {
-            request_id: RequestId(get_u64(&mut buf)?),
-            key: NodeId(get_u64(&mut buf)?),
-            stamp: get_stamp(&mut buf)?,
-            stored_at: get_peer(&mut buf)?,
-        },
-        TAG_READ_REPAIR => TreePMessage::ReadRepair {
-            sender: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            stamp: get_stamp(&mut buf)?,
-            value: get_bytes(&mut buf)?,
-        },
-        TAG_READ_VERIFY => TreePMessage::ReadVerify {
-            server: get_peer(&mut buf)?,
-            key: NodeId(get_u64(&mut buf)?),
-            served_stamp: get_stamp(&mut buf)?,
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_SUBSCRIBE => TreePMessage::Subscribe {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            topic: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_SUBSCRIBE_ACK => TreePMessage::SubscribeAck {
-            request_id: RequestId(get_u64(&mut buf)?),
-            topic: NodeId(get_u64(&mut buf)?),
-            subscribers: get_u32(&mut buf)?,
-            stored_at: get_peer(&mut buf)?,
-        },
-        TAG_UNSUBSCRIBE => TreePMessage::Unsubscribe {
-            request_id: RequestId(get_u64(&mut buf)?),
-            origin: get_peer(&mut buf)?,
-            topic: NodeId(get_u64(&mut buf)?),
-            ttl: get_u32(&mut buf)?,
-        },
-        TAG_FILTER_REPORT => TreePMessage::FilterReport {
-            child: get_peer(&mut buf)?,
-            topics: get_node_ids(&mut buf)?,
-            overflow: get_bool(&mut buf)?,
-        },
-        other => return Err(CodecError::UnknownTag(other)),
-    };
-    Ok(msg)
+    TreePMessage::get(&mut buf)
 }
 
 // ---- batch frames ----------------------------------------------------------
 
 /// Tag byte marking a batch frame: several messages bundled into one
-/// datagram. Chosen far above the per-message tags (1–34) so a batch can
-/// never be confused with a single message.
+/// datagram. Chosen far above every message tag in the `treep` message
+/// table so a batch can never be confused with a single message.
 const TAG_BATCH: u8 = 255;
 
 /// Encode several already-encoded messages into one batch datagram.
@@ -713,10 +97,10 @@ pub fn decode_datagram(mut buf: &[u8]) -> Result<Vec<TreePMessage>> {
         return Ok(vec![decode_message(buf)?]);
     }
     let _ = get_u8(&mut buf)?;
-    let count = get_u32(&mut buf)? as usize;
+    let count = u32::get(&mut buf)? as usize;
     let mut msgs = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let len = get_u32(&mut buf)? as usize;
+        let len = u32::get(&mut buf)? as usize;
         if buf.len() < len {
             return Err(CodecError::Truncated);
         }
@@ -726,409 +110,240 @@ pub fn decode_datagram(mut buf: &[u8]) -> Result<Vec<TreePMessage>> {
     Ok(msgs)
 }
 
-// ---- field helpers -----------------------------------------------------------
+// ---- field encodings ---------------------------------------------------------
 
-fn algorithm_tag(algorithm: RoutingAlgorithm) -> u8 {
-    match algorithm {
-        RoutingAlgorithm::Greedy => 0,
-        RoutingAlgorithm::NonGreedy => 1,
-        RoutingAlgorithm::NonGreedyFallback => 2,
-    }
+/// The wire form of one field type. Every type that appears in a message
+/// has exactly one impl.
+trait Wire: Sized {
+    /// Append `self` to `buf`.
+    fn put(&self, buf: &mut BytesMut);
+    /// Read one value off the front of `buf`.
+    fn get(buf: &mut &[u8]) -> Result<Self>;
 }
 
-fn algorithm_from_tag(tag: u8) -> Result<RoutingAlgorithm> {
-    match tag {
-        0 => Ok(RoutingAlgorithm::Greedy),
-        1 => Ok(RoutingAlgorithm::NonGreedy),
-        2 => Ok(RoutingAlgorithm::NonGreedyFallback),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_peer(buf: &mut BytesMut, peer: &PeerInfo) {
-    buf.put_u64_le(peer.id.0);
-    buf.put_u64_le(peer.addr.0);
-    buf.put_u32_le(peer.max_level);
-    buf.put_u16_le(peer.summary.score_milli);
-    buf.put_u32_le(peer.summary.max_children);
-}
-
-fn get_peer(buf: &mut &[u8]) -> Result<PeerInfo> {
-    Ok(PeerInfo {
-        id: NodeId(get_u64(buf)?),
-        addr: NodeAddr(get_u64(buf)?),
-        max_level: get_u32(buf)?,
-        summary: CharacteristicsSummary {
-            score_milli: get_u16(buf)?,
-            max_children: get_u32(buf)?,
-        },
-    })
-}
-
-fn put_opt_peer(buf: &mut BytesMut, peer: Option<&PeerInfo>) {
-    match peer {
-        Some(p) => {
-            buf.put_u8(1);
-            put_peer(buf, p);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_opt_peer(buf: &mut &[u8]) -> Result<Option<PeerInfo>> {
-    if get_u8(buf)? == 1 {
-        Ok(Some(get_peer(buf)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_peers(buf: &mut BytesMut, peers: &[PeerInfo]) {
-    buf.put_u32_le(peers.len() as u32);
-    for p in peers {
-        put_peer(buf, p);
-    }
-}
-
-fn get_peers(buf: &mut &[u8]) -> Result<Vec<PeerInfo>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_peer(buf)?);
-    }
-    Ok(out)
-}
-
-const UPDATE_CONTACT: u8 = 0;
-const UPDATE_LEVEL_MEMBER: u8 = 1;
-const UPDATE_PARENT_OF: u8 = 2;
-const UPDATE_CHILD_OF: u8 = 3;
-const UPDATE_SUPERIOR: u8 = 4;
-
-fn put_updates(buf: &mut BytesMut, updates: &[RoutingUpdate]) {
-    buf.put_u32_le(updates.len() as u32);
-    for u in updates {
-        match u {
-            RoutingUpdate::Contact { peer } => {
-                buf.put_u8(UPDATE_CONTACT);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::LevelMember { level, peer } => {
-                buf.put_u8(UPDATE_LEVEL_MEMBER);
-                buf.put_u32_le(*level);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::ParentOf { peer } => {
-                buf.put_u8(UPDATE_PARENT_OF);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::ChildOf { peer } => {
-                buf.put_u8(UPDATE_CHILD_OF);
-                put_peer(buf, peer);
-            }
-            RoutingUpdate::Superior { peer } => {
-                buf.put_u8(UPDATE_SUPERIOR);
-                put_peer(buf, peer);
-            }
-        }
-    }
-}
-
-fn get_updates(buf: &mut &[u8]) -> Result<Vec<RoutingUpdate>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let tag = get_u8(buf)?;
-        let update = match tag {
-            UPDATE_CONTACT => RoutingUpdate::Contact {
-                peer: get_peer(buf)?,
-            },
-            UPDATE_LEVEL_MEMBER => RoutingUpdate::LevelMember {
-                level: get_u32(buf)?,
-                peer: get_peer(buf)?,
-            },
-            UPDATE_PARENT_OF => RoutingUpdate::ParentOf {
-                peer: get_peer(buf)?,
-            },
-            UPDATE_CHILD_OF => RoutingUpdate::ChildOf {
-                peer: get_peer(buf)?,
-            },
-            UPDATE_SUPERIOR => RoutingUpdate::Superior {
-                peer: get_peer(buf)?,
-            },
-            other => return Err(CodecError::UnknownTag(other)),
-        };
-        out.push(update);
-    }
-    Ok(out)
-}
-
-// ---- multicast field helpers -------------------------------------------------
-
-fn phase_tag(phase: MulticastPhase) -> u8 {
-    match phase {
-        MulticastPhase::Up => 0,
-        MulticastPhase::BusLeft => 1,
-        MulticastPhase::BusRight => 2,
-        MulticastPhase::Down => 3,
-    }
-}
-
-fn phase_from_tag(tag: u8) -> Result<MulticastPhase> {
-    match tag {
-        0 => Ok(MulticastPhase::Up),
-        1 => Ok(MulticastPhase::BusLeft),
-        2 => Ok(MulticastPhase::BusRight),
-        3 => Ok(MulticastPhase::Down),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn query_tag(query: AggregateQuery) -> u8 {
-    match query {
-        AggregateQuery::CountNodes => 0,
-        AggregateQuery::MaxCapability => 1,
-        AggregateQuery::DhtKeyDigest => 2,
-        AggregateQuery::KeysInRange => 3,
-    }
-}
-
-fn query_from_tag(tag: u8) -> Result<AggregateQuery> {
-    match tag {
-        0 => Ok(AggregateQuery::CountNodes),
-        1 => Ok(AggregateQuery::MaxCapability),
-        2 => Ok(AggregateQuery::DhtKeyDigest),
-        3 => Ok(AggregateQuery::KeysInRange),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_range(buf: &mut BytesMut, range: &KeyRange) {
-    buf.put_u64_le(range.lo.0);
-    buf.put_u64_le(range.hi.0);
-}
-
-fn get_range(buf: &mut &[u8]) -> Result<KeyRange> {
-    Ok(KeyRange::new(NodeId(get_u64(buf)?), NodeId(get_u64(buf)?)))
-}
-
-const PAYLOAD_DATA: u8 = 0;
-const PAYLOAD_AGGREGATE: u8 = 1;
-const PAYLOAD_TOPIC: u8 = 2;
-
-fn put_multicast_payload(buf: &mut BytesMut, payload: &MulticastPayload) {
-    match payload {
-        MulticastPayload::Data(data) => {
-            buf.put_u8(PAYLOAD_DATA);
-            put_bytes(buf, data);
-        }
-        MulticastPayload::Aggregate(query) => {
-            buf.put_u8(PAYLOAD_AGGREGATE);
-            buf.put_u8(query_tag(*query));
-        }
-        MulticastPayload::Topic { topic, data } => {
-            buf.put_u8(PAYLOAD_TOPIC);
-            buf.put_u64_le(topic.0);
-            put_bytes(buf, data);
-        }
-    }
-}
-
-fn get_multicast_payload(buf: &mut &[u8]) -> Result<MulticastPayload> {
-    match get_u8(buf)? {
-        PAYLOAD_DATA => Ok(MulticastPayload::Data(get_bytes(buf)?)),
-        PAYLOAD_AGGREGATE => Ok(MulticastPayload::Aggregate(query_from_tag(get_u8(buf)?)?)),
-        PAYLOAD_TOPIC => Ok(MulticastPayload::Topic {
-            topic: NodeId(get_u64(buf)?),
-            data: get_bytes(buf)?,
-        }),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-const PARTIAL_COUNT: u8 = 0;
-const PARTIAL_MAX_CAPABILITY: u8 = 1;
-const PARTIAL_DIGEST: u8 = 2;
-const PARTIAL_KEYS: u8 = 3;
-
-fn put_partial(buf: &mut BytesMut, partial: &AggregatePartial) {
-    match partial {
-        AggregatePartial::Count(n) => {
-            buf.put_u8(PARTIAL_COUNT);
-            buf.put_u64_le(*n);
-        }
-        AggregatePartial::MaxCapability(m) => {
-            buf.put_u8(PARTIAL_MAX_CAPABILITY);
-            buf.put_u16_le(*m);
-        }
-        AggregatePartial::Digest { xor, count } => {
-            buf.put_u8(PARTIAL_DIGEST);
-            buf.put_u64_le(*xor);
-            buf.put_u64_le(*count);
-        }
-        AggregatePartial::Keys(keys) => {
-            buf.put_u8(PARTIAL_KEYS);
-            put_node_ids(buf, keys);
-        }
-    }
-}
-
-fn get_partial(buf: &mut &[u8]) -> Result<AggregatePartial> {
-    match get_u8(buf)? {
-        PARTIAL_COUNT => Ok(AggregatePartial::Count(get_u64(buf)?)),
-        PARTIAL_MAX_CAPABILITY => Ok(AggregatePartial::MaxCapability(get_u16(buf)?)),
-        PARTIAL_DIGEST => Ok(AggregatePartial::Digest {
-            xor: get_u64(buf)?,
-            count: get_u64(buf)?,
-        }),
-        PARTIAL_KEYS => Ok(AggregatePartial::Keys(get_node_ids(buf)?)),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_lookup_request(buf: &mut BytesMut, req: &LookupRequest) {
-    buf.put_u64_le(req.request_id.0);
-    put_peer(buf, &req.origin);
-    buf.put_u64_le(req.target.0);
-    buf.put_u8(algorithm_tag(req.algorithm));
-    buf.put_u32_le(req.ttl);
-    buf.put_u32_le(req.visited.len() as u32);
-    for v in &req.visited {
-        buf.put_u64_le(v.0);
-    }
-    put_peers(buf, &req.fallbacks);
-}
-
-fn get_lookup_request(buf: &mut &[u8]) -> Result<LookupRequest> {
-    let request_id = RequestId(get_u64(buf)?);
-    let origin = get_peer(buf)?;
-    let target = NodeId(get_u64(buf)?);
-    let algorithm = algorithm_from_tag(get_u8(buf)?)?;
-    let ttl = get_u32(buf)?;
-    let visited_len = get_u32(buf)? as usize;
-    let mut visited = Vec::with_capacity(visited_len.min(1024));
-    for _ in 0..visited_len {
-        visited.push(NodeAddr(get_u64(buf)?));
-    }
-    let fallbacks = get_peers(buf)?;
-    let mut req = LookupRequest::new(request_id, origin, target, algorithm);
-    req.ttl = ttl;
-    req.visited = visited;
-    req.fallbacks = fallbacks;
-    Ok(req)
-}
-
-fn put_stamp(buf: &mut BytesMut, stamp: &VersionStamp) {
-    buf.put_u64_le(stamp.version);
-    buf.put_u64_le(stamp.origin.0);
-}
-
-fn get_stamp(buf: &mut &[u8]) -> Result<VersionStamp> {
-    Ok(VersionStamp {
-        version: get_u64(buf)?,
-        origin: NodeId(get_u64(buf)?),
-    })
-}
-
-fn source_tag(source: ReadSource) -> u8 {
-    match source {
-        ReadSource::Responsible => 0,
-        ReadSource::Replica => 1,
-        ReadSource::Cache => 2,
-    }
-}
-
-fn source_from_tag(tag: u8) -> Result<ReadSource> {
-    match tag {
-        0 => Ok(ReadSource::Responsible),
-        1 => Ok(ReadSource::Replica),
-        2 => Ok(ReadSource::Cache),
-        other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn put_addrs(buf: &mut BytesMut, addrs: &[NodeAddr]) {
-    buf.put_u32_le(addrs.len() as u32);
-    for a in addrs {
-        buf.put_u64_le(a.0);
-    }
-}
-
-fn get_addrs(buf: &mut &[u8]) -> Result<Vec<NodeAddr>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(NodeAddr(get_u64(buf)?));
-    }
-    Ok(out)
-}
-
-fn put_node_ids(buf: &mut BytesMut, ids: &[NodeId]) {
-    buf.put_u32_le(ids.len() as u32);
-    for id in ids {
-        buf.put_u64_le(id.0);
-    }
-}
-
-fn get_node_ids(buf: &mut &[u8]) -> Result<Vec<NodeId>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(NodeId(get_u64(buf)?));
-    }
-    Ok(out)
-}
-
-fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(bytes);
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
-    let n = get_u32(buf)? as usize;
+/// Fails with `Truncated` unless `n` more bytes remain.
+fn need(buf: &[u8], n: usize) -> Result<()> {
     if buf.remaining() < n {
-        return Err(CodecError::Truncated);
-    }
-    let mut out = vec![0u8; n];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
-
-fn get_bool(buf: &mut &[u8]) -> Result<bool> {
-    match get_u8(buf)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(CodecError::UnknownTag(other)),
+        Err(CodecError::Truncated)
+    } else {
+        Ok(())
     }
 }
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
+    need(buf, 1)?;
     Ok(buf.get_u8())
 }
 
-fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u16_le())
+/// Fixed-width little-endian integers.
+macro_rules! wire_ints {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                need(buf, std::mem::size_of::<$ty>())?;
+                Ok(buf.$get())
+            }
+        }
+    )*};
 }
 
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+wire_ints! {
+    u16: put_u16_le, get_u16_le;
+    u32: put_u32_le, get_u32_le;
+    u64: put_u64_le, get_u64_le;
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
+/// One byte, 0 or 1; any other byte is rejected.
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
     }
-    Ok(buf.get_u64_le())
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        match get_u8(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::UnknownTag(other)),
+        }
+    }
 }
+
+/// A presence flag (as a `bool`), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(value) = self {
+            value.put(buf);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A `u32` item count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let n = u32::get(buf)? as usize;
+        // The count is untrusted: cap what it may preallocate.
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::get(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Opaque bytes: a `u32` length, then the bytes as one slice.
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let n = u32::get(buf)? as usize;
+        need(buf, n)?;
+        let (bytes, rest) = buf.split_at(n);
+        *buf = rest;
+        Ok(bytes.to_vec())
+    }
+}
+
+/// `u64` newtypes.
+macro_rules! wire_newtypes {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                self.0.put(buf);
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                u64::get(buf).map($ty)
+            }
+        }
+    )*};
+}
+
+wire_newtypes!(NodeId, NodeAddr, RequestId);
+
+/// Structs: the listed fields, in order.
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)*
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                Ok($ty { $($field: Wire::get(buf)?),* })
+            }
+        }
+    )*};
+}
+
+wire_structs! {
+    CharacteristicsSummary { score_milli, max_children }
+    PeerInfo { id, addr, max_level, summary }
+    VersionStamp { version, origin }
+    StampedValue { stamp, value }
+    ReplicaEntry { key, value }
+    LookupRequest { request_id, origin, target, algorithm, ttl, visited, fallbacks }
+}
+
+/// `lo` then `hi`; decoding re-normalises the order.
+impl Wire for KeyRange {
+    fn put(&self, buf: &mut BytesMut) {
+        self.lo.put(buf);
+        self.hi.put(buf);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        Ok(KeyRange::new(NodeId::get(buf)?, NodeId::get(buf)?))
+    }
+}
+
+/// Enums: the variant's tag byte, then its fields in order. A tuple variant
+/// is written `Variant(binding: Type)`.
+macro_rules! wire_enums {
+    ($($ty:ident {
+        $($variant:ident $(($value:ident: $value_ty:ty))? $({ $($field:ident),* })? = $tag:literal),*
+        $(,)?
+    })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                match self {
+                    $($ty::$variant $(($value))? $({ $($field),* })? => {
+                        buf.put_u8($tag);
+                        $($value.put(buf);)?
+                        $($($field.put(buf);)*)?
+                    })*
+                }
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self> {
+                Ok(match get_u8(buf)? {
+                    $($tag => $ty::$variant
+                        $((<$value_ty>::get(buf)?))?
+                        $({ $($field: Wire::get(buf)?),* })?,)*
+                    other => return Err(CodecError::UnknownTag(other)),
+                })
+            }
+        }
+    )*};
+}
+
+wire_enums! {
+    RoutingAlgorithm { Greedy = 0, NonGreedy = 1, NonGreedyFallback = 2 }
+    MulticastPhase { Up = 0, BusLeft = 1, BusRight = 2, Down = 3 }
+    AggregateQuery { CountNodes = 0, MaxCapability = 1, DhtKeyDigest = 2, KeysInRange = 3 }
+    ReadSource { Responsible = 0, Replica = 1, Cache = 2 }
+    RoutingUpdate {
+        Contact { peer } = 0,
+        LevelMember { level, peer } = 1,
+        ParentOf { peer } = 2,
+        ChildOf { peer } = 3,
+        Superior { peer } = 4,
+    }
+    MulticastPayload {
+        Data(data: Vec<u8>) = 0,
+        Aggregate(query: AggregateQuery) = 1,
+        Topic { topic, data } = 2,
+    }
+    AggregatePartial {
+        Count(count: u64) = 0,
+        MaxCapability(max: u16) = 1,
+        Digest { xor, count } = 2,
+        Keys(keys: Vec<NodeId>) = 3,
+    }
+}
+
+/// Reshapes the `treep` message table into a [`wire_enums!`] entry for
+/// [`TreePMessage`]: each row keeps its tag and its fields in row order.
+macro_rules! message_codec {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident
+        $(($tuple_field:ident: $tuple_ty:ty))?
+        $({ $($(#[$field_doc:meta])* $field:ident: $field_ty:ty,)* })?
+        = $tag:literal, $snake:literal, maintenance = $maintenance:literal;
+    )*) => {
+        wire_enums! {
+            TreePMessage {
+                $($name $(($tuple_field: $tuple_ty))? $({ $($field),* })? = $tag,)*
+            }
+        }
+    };
+}
+
+treep::treep_messages!(message_codec);
 
 #[cfg(test)]
 mod tests {
@@ -1454,6 +669,65 @@ mod tests {
     fn unknown_tags_are_rejected() {
         assert_eq!(decode_message(&[99, 0, 0]), Err(CodecError::UnknownTag(99)));
         assert_eq!(decode_message(&[]), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn option_flags_other_than_zero_or_one_are_rejected() {
+        // (message with an empty option, byte offset of its presence flag)
+        let cases = [
+            (
+                TreePMessage::JoinAck {
+                    responder: peer(2, 1),
+                    contacts: vec![],
+                    parent: None,
+                },
+                1 + 26 + 4,
+            ),
+            (
+                TreePMessage::DhtGetReply {
+                    request_id: RequestId(1),
+                    key: NodeId(2),
+                    value: None,
+                    responder: peer(3, 0),
+                },
+                1 + 8 + 8,
+            ),
+            (
+                TreePMessage::GetVersioned {
+                    request_id: RequestId(1),
+                    origin: peer(4, 0),
+                    key: NodeId(2),
+                    ttl: 3,
+                    min_stamp: None,
+                    path: vec![],
+                },
+                1 + 8 + 26 + 8 + 4,
+            ),
+            (
+                TreePMessage::GetVersionedReply {
+                    request_id: RequestId(1),
+                    origin: NodeAddr(5),
+                    key: NodeId(2),
+                    value: None,
+                    source: ReadSource::Responsible,
+                    hops: 1,
+                    responder: peer(6, 0),
+                    path: vec![],
+                },
+                1 + 8 + 8 + 8,
+            ),
+        ];
+        for (msg, flag_at) in cases {
+            let mut encoded = encode_message(&msg);
+            assert_eq!(encoded[flag_at], 0, "{:?}: flag offset", msg.kind());
+            encoded[flag_at] = 2;
+            assert_eq!(
+                decode_message(&encoded),
+                Err(CodecError::UnknownTag(2)),
+                "{:?}",
+                msg.kind()
+            );
+        }
     }
 
     #[test]

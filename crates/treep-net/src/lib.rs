@@ -6,8 +6,9 @@
 //! so the exact same code that runs under the discrete-event simulator can be
 //! driven by real sockets. This crate provides that driver:
 //!
-//! * [`codec`] — a compact, hand-rolled binary encoding of
-//!   [`treep::TreePMessage`] (length-prefixed fields over [`bytes`]).
+//! * [`codec`] — a compact binary encoding of [`treep::TreePMessage`]
+//!   (length-prefixed fields over [`bytes`]), generated from the `treep`
+//!   message table ([`treep::treep_messages!`]).
 //! * [`transport::UdpNode`] — a threaded host: one receive loop decoding
 //!   datagrams into protocol events, one timer loop replaying
 //!   `Context::set_timer` requests against the wall clock.

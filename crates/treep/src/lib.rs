@@ -108,3 +108,6 @@ pub use replication::{audit_replication, ReplicaEntry, ReplicationAudit};
 pub use routing::{RouteDecision, RouterView, RoutingAlgorithm};
 pub use stats::{KindCounters, NodeStats};
 pub use tables::{PeerEntry, RemovalReport, RoutingTables, TableSizes};
+
+/// The transport address carried in [`PeerInfo`] and in protocol messages.
+pub use simnet::NodeAddr;
