@@ -67,11 +67,12 @@ impl RoutingUpdate {
 /// `treep_messages!(callback)` expands to `callback! { rows }`, so each
 /// consumer derives its own view of the protocol from this one list. A row
 /// is the variant's doc attributes, its name and its fields in wire order
-/// (a braced field list, or `(name: Type)` for a tuple variant), then
+/// (a braced list of `name: Type,` fields, or `(name: Type)` for a tuple
+/// variant), then
 /// `= tag, "snake_name", maintenance = bool;`:
 ///
-/// - `tag` is the variant's wire tag byte. Tags are never reused or moved,
-///   so tag order differs from row order.
+/// - `tag` is the variant's wire tag byte, fixed once assigned. It need not
+///   follow row order (`ReplicaPut` is row 17 but tag 20).
 /// - `snake_name` is [`MessageKind::name`], the key used in reports.
 /// - `maintenance` is [`MessageKind::is_maintenance`].
 ///
@@ -81,7 +82,7 @@ impl RoutingUpdate {
 macro_rules! treep_messages {
     ($callback:ident) => {
         $callback! {
-            // ---- membership -------------------------------------------------------
+            // ---- membership -------------------------------------------------
             /// A joining node contacts a peer it learned out of band (bootstrap).
             JoinRequest {
                 /// The joining node.
@@ -98,7 +99,7 @@ macro_rules! treep_messages {
                 parent: Option<$crate::PeerInfo>,
             } = 2, "join_ack", maintenance = true;
 
-            // ---- maintenance ------------------------------------------------------
+            // ---- maintenance ------------------------------------------------
             /// Periodic keep-alive between direct neighbours (level 0 and level-i
             /// buses), carrying piggy-backed routing updates.
             KeepAlive {
@@ -135,7 +136,7 @@ macro_rules! treep_messages {
                 superiors: Vec<$crate::PeerInfo>,
             } = 6, "child_report_ack", maintenance = true;
 
-            // ---- hierarchy formation ------------------------------------------------
+            // ---- hierarchy formation ----------------------------------------
             /// A node that reached degree 2 without a parent calls an election among
             /// its neighbours (Section III.b).
             ElectionCall {
@@ -165,7 +166,7 @@ macro_rules! treep_messages {
                 from_level: u32,
             } = 10, "demotion", maintenance = true;
 
-            // ---- lookup -------------------------------------------------------------
+            // ---- lookup -----------------------------------------------------
             /// A routed lookup request.
             Lookup(request: $crate::LookupRequest) = 11, "lookup", maintenance = false;
             /// Successful resolution sent straight back to the origin.
@@ -241,7 +242,7 @@ macro_rules! treep_messages {
                 responder: $crate::PeerInfo,
             } = 17, "dht_get_reply", maintenance = false;
 
-            // ---- replication ---------------------------------------------------------
+            // ---- replication ------------------------------------------------
             /// Push one replicated `(key, value)` copy to a member of the key's
             /// replica set (the k nearest registry neighbours of the key
             /// coordinate). Sent by the responsible node when a `DhtPut` lands, by
@@ -281,7 +282,7 @@ macro_rules! treep_messages {
                 want: Vec<$crate::NodeId>,
             } = 22, "replica_sync_reply", maintenance = true;
 
-            // ---- multicast / aggregation --------------------------------------------
+            // ---- multicast / aggregation ------------------------------------
             /// A scoped multicast travelling through the hierarchy: up the
             /// initiator's ancestor chain, along the top-level bus, and down the
             /// own-children links of every visited node. Range delegation is
@@ -355,7 +356,7 @@ macro_rules! treep_messages {
                 request_id: $crate::RequestId,
             } = 24, "aggregate_ack", maintenance = false;
 
-            // ---- read path -----------------------------------------------------------
+            // ---- read path --------------------------------------------------
             /// A versioned get, routed greedily toward the key's coordinate but
             /// servable by any node on the route holding a satisfying copy (see
             /// [`crate::readpath`]).
@@ -464,7 +465,7 @@ macro_rules! treep_messages {
                 ttl: u32,
             } = 30, "read_verify", maintenance = false;
 
-            // ---- pub/sub -------------------------------------------------------------
+            // ---- pub/sub ----------------------------------------------------
             /// Register `origin` as a subscriber of `topic`: routed greedily toward
             /// the topic coordinate; the responsible node adds the origin to the
             /// topic's replicated subscriber directory (see [`crate::pubsub`]).
